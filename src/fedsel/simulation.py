@@ -90,6 +90,7 @@ class SessionCheckpoint:
     store: Checkpoint
     weights: np.ndarray
     wall_clock: float
+    selection_history: tuple[tuple[str, ...], ...]
 
 
 class TrainingSession:
@@ -273,22 +274,19 @@ class TrainingSession:
     def snapshot(self) -> SessionCheckpoint:
         return SessionCheckpoint(store=self.store.snapshot(),
                                  weights=self.weights.copy(),
-                                 wall_clock=self.wall_clock)
+                                 wall_clock=self.wall_clock,
+                                 selection_history=tuple(self.selection_history))
 
     def restore(self, checkpoint: SessionCheckpoint) -> None:
         self.store.restore(checkpoint.store)
         self.weights = checkpoint.weights.copy()
         self.wall_clock = checkpoint.wall_clock
-
-    @property
-    def participation_counts(self) -> dict[str, int]:
-        view = self.store.view()
-        return {cid: rec.times_selected for cid, rec in view.records.items()}
+        self.selection_history = list(checkpoint.selection_history)
 
     @property
     def blacklisted_ids(self) -> set[str]:
-        view = self.store.view()
-        return {cid for cid, rec in view.records.items() if rec.blacklisted}
+        table = self.store.view().table
+        return {table.ids[row] for row in np.flatnonzero(table.blacklisted)}
 
 
 def corrupt_clients(world: SimWorld, fraction: float | None = None,

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence, TextIO
+from itertools import repeat
+from typing import TYPE_CHECKING, Iterable, Sequence, TextIO
 
 import numpy as np
 
@@ -193,22 +194,20 @@ def scheduled_pacer_tick(history: Sequence[float], round_index: int, window: int
     return pacer_tick(history, round_index, window, preferred_duration, step)
 
 
-def clip_cap(values: Sequence[float], percentile: float) -> float:
+def clip_cap(values: Sequence[float] | np.ndarray, percentile: float) -> float:
     """Nearest-rank percentile of a utility distribution, used as the clip cap.
 
     An empty distribution imposes no cap.
     """
     if not 0.0 < percentile <= 100.0:
         raise ValueError("percentile must be in (0, 100]")
-    vals = [v for v in values]
-    if not vals:
+    vals = np.asarray(values, dtype=np.float64)
+    if vals.size == 0:
         return math.inf
-    for v in vals:
-        if not math.isfinite(v):
-            raise ValueError("values must be finite")
-    vals.sort()
-    rank = math.ceil(percentile / 100.0 * len(vals))
-    return vals[max(rank, 1) - 1]
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("values must be finite")
+    rank = max(math.ceil(percentile / 100.0 * vals.size), 1)
+    return float(np.partition(vals, rank - 1)[rank - 1])
 
 
 def exploration_fraction(config: SelectorConfig, round_index: int) -> float:
@@ -225,57 +224,103 @@ def exploration_fraction(config: SelectorConfig, round_index: int) -> float:
     return max(config.exploration_floor, decayed)
 
 
-def perturb_utilities(rng: np.random.Generator, values: Sequence[float],
-                      noise_epsilon: float) -> list[float]:
+def perturb_utilities(rng: np.random.Generator,
+                      values: Sequence[float] | np.ndarray,
+                      noise_epsilon: float) -> np.ndarray:
     """Add zero-mean Gaussian noise with sigma = noise_epsilon * mean(values).
 
     The perturbed values are floored at 0 so they stay usable as sampling
     weights; the added noise itself is unbiased.
     """
-    vals = list(values)
+    vals = np.array(values, dtype=np.float64)
     if noise_epsilon < 0:
         raise ValueError("noise_epsilon must be >= 0")
-    if noise_epsilon == 0 or not vals:
+    if noise_epsilon == 0 or not vals.size:
         return vals
     sigma = noise_epsilon * float(np.mean(vals))
     if sigma <= 0:
         return vals
-    noise = rng.normal(0.0, sigma, size=len(vals))
-    return [max(0.0, v + e) for v, e in zip(vals, noise)]
+    noise = rng.normal(0.0, sigma, size=vals.size)
+    return np.maximum(0.0, vals + noise)
 
 
 def weighted_sample_without_replacement(rng: np.random.Generator,
-                                        ids: Sequence[str],
-                                        weights: Sequence[float],
-                                        k: int) -> list[str]:
+                                        ids: Sequence,
+                                        weights: Sequence[float] | np.ndarray,
+                                        k: int) -> list:
     """Draw up to ``k`` distinct ids with probability proportional to weight.
 
     Sequential draws with renormalization. Callers pass ``ids`` in a
     deterministic order (client-id order) so equal weights break ties
     reproducibly. A remainder with zero total weight is sampled uniformly.
+    Each weighted draw is the one ``rng.choice(n, p=live / live.sum())``
+    makes: a single uniform searched in the normalised cumulative sum.
     """
     n = len(ids)
     k = min(k, n)
     if k <= 0:
         return []
-    w = np.asarray(weights, dtype=float)
+    w = np.asarray(weights, dtype=np.float64)
     if w.shape != (n,):
         raise ValueError("weights must match ids")
     if np.any(w < 0) or not np.all(np.isfinite(w)):
         raise ValueError("weights must be finite and nonnegative")
+    live = w.copy()
     avail = np.ones(n, dtype=bool)
-    picks: list[str] = []
+    picks = []
     for _ in range(k):
-        live = np.where(avail, w, 0.0)
         total = live.sum()
         if total > 0:
-            j = int(rng.choice(n, p=live / total))
+            cdf = np.cumsum(live / total)
+            cdf /= cdf[-1]
+            j = int(cdf.searchsorted(rng.random(), side="right"))
         else:
             candidates = np.flatnonzero(avail)
             j = int(candidates[rng.integers(len(candidates))])
         picks.append(ids[j])
         avail[j] = False
+        live[j] = 0.0
     return picks
+
+
+class Breakdowns(Sequence[UtilityBreakdown]):
+    """Utility decomposition of explored clients, one row each in client-id order.
+
+    Backed by arrays; a :class:`UtilityBreakdown` is built only when a row is
+    read. ``rows`` are the clients' rows in the view's table; ``pool`` holds
+    the rows of every eligible client, explored or not, that the breakdown
+    was computed over.
+    """
+
+    def __init__(self, ids: Sequence[str], pool: np.ndarray, rows: np.ndarray,
+                 stat: np.ndarray, staleness: np.ndarray,
+                 system_factor: np.ndarray, fairness: np.ndarray,
+                 final: np.ndarray):
+        for col in (pool, rows, stat, staleness, system_factor, fairness, final):
+            col.setflags(write=False)
+        self.ids = ids
+        self.pool = pool
+        self.rows = rows
+        self.stat = stat
+        self.staleness = staleness
+        self.system_factor = system_factor
+        self.fairness = fairness
+        self.final = final
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        return UtilityBreakdown(
+            client_id=self.ids[self.rows[i]],
+            stat_component=float(self.stat[i]),
+            staleness_bonus=float(self.staleness[i]),
+            system_factor=float(self.system_factor[i]),
+            fairness_component=float(self.fairness[i]),
+            final_utility=float(self.final[i]),
+        )
 
 
 class TrainingSelector:
@@ -294,113 +339,121 @@ class TrainingSelector:
 
     def compute_breakdowns(self, view: "StoreView", round_index: int,
                            candidates: Iterable[str] | None = None,
-                           ) -> list[UtilityBreakdown]:
+                           ) -> Breakdowns:
         """Utility decomposition for every eligible explored client."""
         cfg = self.config
-        records = self._eligible_records(view, candidates)
-        explored = [r for r in records if r.explored]
-        explored.sort(key=lambda r: r.client_id)
-        if not explored:
-            return []
+        table = view.table
+        pool = self._pool(view, candidates)
+        rows = pool[table.explored[pool]]
+        stat = table.stat_utility[rows]
+        if not rows.size:
+            empty = np.zeros(0)
+            return Breakdowns(table.ids, pool, rows, empty, empty, empty,
+                              empty, empty)
 
+        last = table.last_round[rows]
+        if round_index < 1:
+            raise ValueError("round_index must be >= 1")
+        if last.min() < 1:
+            raise ValueError("last_round must be >= 1 (client never participated)")
+        if last.max() > round_index:
+            raise ValueError("last_round cannot exceed round_index")
+        # math.log, not np.log, so the bonus matches staleness_bonus() exactly.
+        stale = np.sqrt(0.1 * math.log(round_index) / last)
+        combined = stat + stale
+
+        # system_penalty(), with Python's float power on the stragglers so
+        # the result matches the scalar form bit for bit.
         t_pref = view.preferred_duration
-        bases = []
-        parts = []
-        for rec in explored:
-            stale = staleness_bonus(round_index, rec.last_round)
-            combined = rec.stat_utility + stale
-            with_sys = system_penalty(combined, t_pref, rec.duration,
-                                      cfg.straggler_penalty)
-            factor = with_sys / combined if combined > 0 else 1.0
-            bases.append(with_sys)
-            parts.append((rec, rec.stat_utility, stale, factor))
+        duration = table.duration[rows]
+        if not t_pref > 0 or duration.min() <= 0:
+            raise ValueError("durations must be > 0")
+        alpha = cfg.straggler_penalty
+        with_sys = combined.copy()
+        slow = np.flatnonzero(duration > t_pref)
+        ratios = (t_pref / duration[slow]).tolist()
+        with_sys[slow] = combined[slow] * np.array([r ** alpha for r in ratios],
+                                                   dtype=np.float64)
+        factor = np.ones_like(combined)
+        positive = combined > 0
+        factor[positive] = with_sys[positive] / combined[positive]
 
         f = cfg.fairness_weight
-        fairness = [0.0] * len(explored)
+        fairness = np.zeros_like(combined)
         if f > 0:
-            max_sel = max(rec.times_selected for rec in explored)
-            raw = [float(max_sel - rec.times_selected) for rec in explored]
-            max_raw = max(raw)
-            max_base = max(bases)
+            times = table.times_selected[rows]
+            raw = (times.max() - times).astype(np.float64)
+            max_raw, max_base = raw.max(), with_sys.max()
             scale = (max_base / max_raw) if max_raw > 0 and max_base > 0 else 1.0
-            fairness = [r * scale for r in raw]
+            fairness = raw * scale
 
-        out = []
-        for (rec, stat, stale, factor), base, fair in zip(parts, bases, fairness):
-            final = (1.0 - f) * base + f * fair
-            out.append(UtilityBreakdown(
-                client_id=rec.client_id,
-                stat_component=stat,
-                staleness_bonus=stale,
-                system_factor=factor,
-                fairness_component=fair,
-                final_utility=final,
-            ))
-        return out
+        final = (1.0 - f) * with_sys + f * fairness
+        return Breakdowns(table.ids, pool, rows, stat, stale, factor, fairness,
+                          final)
 
     def select_participants(self, view: "StoreView", k: int, round_index: int,
                             candidates: Iterable[str] | None = None,
-                            ) -> tuple[list[str], list[UtilityBreakdown]]:
+                            ) -> tuple[list[str], Breakdowns]:
         """Pick up to ``k`` distinct participants for ``round_index``.
 
         Exploited picks come from the cutoff-admitted high-utility pool with
         probability proportional to utility; exploration picks come from
         unexplored clients weighted by speed hint. Short pools backfill from
         each other; as a last resort, below-cutoff explored clients fill in so
-        the selection reaches min(k, feasible).
+        the selection reaches min(k, feasible). Repeated candidates count once.
         """
         if k < 1:
             raise ValueError("k must be >= 1")
         cfg = self.config
-        if candidates is not None:
-            candidates = list(candidates)  # consumed twice below
-        records = self._eligible_records(view, candidates)
-        if not records:
-            raise EmptySelectionError("no feasible clients to select from")
-
+        table = view.table
         breakdowns = self.compute_breakdowns(view, round_index, candidates)
-        by_id = {b.client_id: b for b in breakdowns}
-        explored_ids = sorted(by_id)
-        unexplored = sorted(r.client_id for r in records if not r.explored)
-        hints = {r.client_id: r.speed_hint for r in records}
+        pool = breakdowns.pool
+        if not pool.size:
+            raise EmptySelectionError("no feasible clients to select from")
+        explored = breakdowns.rows
+        unexplored = pool[~table.explored[pool]]
 
-        finals = [by_id[cid].final_utility for cid in explored_ids]
+        weights = breakdowns.final
         if cfg.noise_epsilon > 0:
-            finals = perturb_utilities(self._rng(round_index, _STREAM_NOISE),
-                                       finals, cfg.noise_epsilon)
-        weights = dict(zip(explored_ids, finals))
+            weights = perturb_utilities(self._rng(round_index, _STREAM_NOISE),
+                                        weights, cfg.noise_epsilon)
 
         eps = exploration_fraction(cfg, round_index)
         n_exploit = int(math.floor((1.0 - eps) * k + 1e-9))
         n_explore = k - n_exploit
 
-        admitted, below = self._split_by_cutoff(explored_ids, weights, n_exploit)
+        # Positions into ``explored``, all in client-id order.
+        admitted = self._admitted(weights, n_exploit)
+        admitted_pos = np.flatnonzero(admitted)
 
         rng_exploit = self._rng(round_index, _STREAM_EXPLOIT)
         rng_explore = self._rng(round_index, _STREAM_EXPLORE)
 
         exploited = weighted_sample_without_replacement(
-            rng_exploit, admitted, [weights[c] for c in admitted], n_exploit)
+            rng_exploit, admitted_pos, weights[admitted_pos], n_exploit)
 
         explore_budget = n_explore + (n_exploit - len(exploited))
-        explored_new = self._sample_by_speed(rng_explore, unexplored, hints,
-                                             explore_budget)
+        explored_new = self._sample_by_speed(rng_explore, unexplored,
+                                             table.speed_hint, explore_budget)
 
-        selected = exploited + explored_new
+        selected = explored[exploited].tolist() + explored_new
         if len(selected) < k:
-            leftovers = [c for c in admitted if c not in set(selected)]
-            selected += weighted_sample_without_replacement(
-                rng_exploit, leftovers, [weights[c] for c in leftovers],
-                k - len(selected))
-        if len(selected) < k and below:
-            selected += weighted_sample_without_replacement(
-                rng_exploit, below, [weights[c] for c in below],
-                k - len(selected))
+            leftover = admitted.copy()
+            leftover[exploited] = False
+            leftover_pos = np.flatnonzero(leftover)
+            selected += explored[weighted_sample_without_replacement(
+                rng_exploit, leftover_pos, weights[leftover_pos],
+                k - len(selected))].tolist()
+        below_pos = np.flatnonzero(~admitted)
+        if len(selected) < k and below_pos.size:
+            selected += explored[weighted_sample_without_replacement(
+                rng_exploit, below_pos, weights[below_pos],
+                k - len(selected))].tolist()
 
         if not selected:
             raise EmptySelectionError("no feasible clients to select from")
         self._emit(round_index, breakdowns)
-        return selected, breakdowns
+        return [table.ids[row] for row in selected], breakdowns
 
     # -- internals ---------------------------------------------------------
 
@@ -408,43 +461,47 @@ class TrainingSelector:
         return np.random.default_rng([self.seed, round_index, stream])
 
     @staticmethod
-    def _eligible_records(view: "StoreView", candidates: Iterable[str] | None):
-        records = view.records
+    def _pool(view: "StoreView", candidates: Iterable[str] | None) -> np.ndarray:
+        """Rows of the non-blacklisted candidates, once each, in client-id order."""
+        table, order = view.table, view.order
         if candidates is None:
-            pool = records.values()
-        else:
-            pool = (records[c] for c in candidates if c in records)
-        return [r for r in pool if not r.blacklisted]
+            return order[~table.blacklisted[order]]
+        rows = np.fromiter(map(view.slots.get, candidates, repeat(-1)),
+                           dtype=np.intp)
+        eligible = np.zeros(len(table), dtype=bool)
+        eligible[rows[rows >= 0]] = True
+        eligible &= ~table.blacklisted
+        return order[eligible[order]]
 
-    def _split_by_cutoff(self, explored_ids: list[str],
-                         weights: Mapping[str, float],
-                         n_exploit: int) -> tuple[list[str], list[str]]:
-        """Admit clients above c% of the cutoff utility; keep the rest aside."""
-        if n_exploit <= 0 or not explored_ids:
-            return [], list(explored_ids)
-        ranked = sorted(explored_ids, key=lambda c: (-weights[c], c))
-        pivot = ranked[min(n_exploit, len(ranked)) - 1]
-        threshold = (self.config.cutoff_confidence / 100.0) * weights[pivot]
-        admitted = [c for c in explored_ids if weights[c] > threshold]
-        if not admitted:
+    def _admitted(self, weights: np.ndarray, n_exploit: int) -> np.ndarray:
+        """Mask of clients above c% of the cutoff utility; the rest sit below.
+
+        The cutoff utility is the ``n_exploit``-th largest weight.
+        """
+        n = weights.size
+        if n_exploit <= 0 or not n:
+            return np.zeros(n, dtype=bool)
+        m = min(n_exploit, n)
+        pivot = np.partition(weights, n - m)[n - m]
+        threshold = (self.config.cutoff_confidence / 100.0) * pivot
+        admitted = weights > threshold
+        if not admitted.any():
             # Degenerate all-zero utilities: fall back to the whole pool.
-            admitted = list(explored_ids)
-        below = [c for c in explored_ids if c not in set(admitted)]
-        return admitted, below
+            admitted[:] = True
+        return admitted
 
     @staticmethod
-    def _sample_by_speed(rng: np.random.Generator, pool: list[str],
-                         hints: Mapping[str, float | None], k: int) -> list[str]:
-        if k <= 0 or not pool:
+    def _sample_by_speed(rng: np.random.Generator, pool: np.ndarray,
+                         speed_hint: np.ndarray, k: int) -> list[int]:
+        if k <= 0 or not pool.size:
             return []
-        hint_vals = [hints.get(c) for c in pool]
-        if all(h is not None and h > 0 for h in hint_vals):
-            w = [float(h) for h in hint_vals]  # type: ignore[arg-type]
-        else:
-            w = [1.0] * len(pool)
-        return weighted_sample_without_replacement(rng, pool, w, k)
+        hints = speed_hint[pool]
+        # NaN (no hint) fails the comparison, so any missing hint means uniform.
+        w = hints if np.all(hints > 0) else np.ones(pool.size)
+        return [int(row) for row in
+                weighted_sample_without_replacement(rng, pool, w, k)]
 
-    def _emit(self, round_index: int, breakdowns: list[UtilityBreakdown]) -> None:
+    def _emit(self, round_index: int, breakdowns: Breakdowns) -> None:
         if self.metrics_sink is None:
             return
         if not self._sink_header_written:

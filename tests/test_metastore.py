@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 
 import pytest
 
@@ -270,3 +272,157 @@ def test_preferred_duration_nondecreasing():
     with pytest.raises(ValueError):
         s.set_preferred_duration(10.5)
     assert s.preferred_duration == 11.0
+
+
+def test_checkpoint_save_load_save_is_byte_identical(tmp_path):
+    s = store()
+    s.register_client("b", speed_hint=0.1 + 0.2)
+    s.register_client("a")
+    s.register_client("c", speed_hint=3.0)
+    feed(s, ("a", 1.0 / 3.0, 2.5), ("c", 7.0, 1e-3))
+    first, second = tmp_path / "one.json", tmp_path / "two.json"
+    s.save(str(first))
+    t = store()
+    t.load(str(first))
+    t.save(str(second))
+    assert first.read_bytes() == second.read_bytes()
+    payload = json.loads(first.read_text())
+    assert payload["version"] == "fedsel-metastore-v1"
+    assert [r["client_id"] for r in payload["records"]] == ["a", "b", "c"]
+    assert payload["records"][0]["speed_hint"] is None
+
+
+# -- views ------------------------------------------------------------------------
+
+
+def test_view_does_not_see_later_writes_or_registrations():
+    s = store()
+    s.register_client("a")
+    view = s.view()
+    feed(s, ("a", 5.0, 2.0))
+    s.register_client("b")
+    assert not view.records["a"].explored
+    assert list(view.records) == ["a"]
+    assert "b" not in view.records and len(view.table) == 1
+    assert s.view().records["a"].explored
+
+
+def test_view_columns_are_read_only():
+    s = store()
+    s.register_client("a")
+    view = s.view()
+    with pytest.raises(ValueError):
+        view.table.stat_utility[0] = 1.0
+
+
+# -- non-finite inputs --------------------------------------------------------------
+
+
+def test_nan_preferred_duration_rejected():
+    with pytest.raises(ValueError):
+        store(preferred_duration=math.nan)
+
+
+def test_set_preferred_duration_nan_rejected():
+    s = store()
+    with pytest.raises(ValueError):
+        s.set_preferred_duration(math.nan)
+    assert s.preferred_duration == 10.0
+
+
+@pytest.mark.parametrize("hint", [math.nan, math.inf])
+def test_non_finite_speed_hint_rejected(hint):
+    s = store()
+    with pytest.raises(ValueError):
+        s.register_client("a", speed_hint=hint)
+    assert s.client_count == 0
+
+
+def test_infinite_wall_duration_rejected_whole_batch():
+    s = store()
+    s.register_client("a")
+    s.register_client("b")
+    before = s.snapshot()
+    r = s.advance_round()
+    batch = [RoundFeedback("a", 1.0, 1.0, r), RoundFeedback("b", 1.0, math.inf, r)]
+    with pytest.raises(ValueError):
+        s.update_with_feedback(batch)
+    assert s.snapshot().table == before.table
+
+
+# -- typed checkpoint decoding --------------------------------------------------------
+
+
+def saved_payload(tmp_path) -> dict:
+    s = store()
+    s.register_client("a", speed_hint=2.0)
+    s.register_client("b")
+    feed(s, ("a", 4.0, 3.0))
+    path = tmp_path / "cp.json"
+    s.save(str(path))
+    return json.loads(path.read_text())
+
+
+def corrupt(payload: dict, where: str, value) -> dict:
+    payload = json.loads(json.dumps(payload))
+    if where.startswith("records."):
+        payload["records"][0][where.split(".", 1)[1]] = value
+    else:
+        payload[where] = value
+    return payload
+
+
+@pytest.mark.parametrize("where, value", [
+    ("records.stat_utility", "oops"),
+    ("records.stat_utility", math.nan),
+    ("records.duration", math.inf),
+    ("records.duration", 0.0),
+    ("records.speed_hint", math.nan),
+    ("records.speed_hint", -1.0),
+    ("records.last_round", 1.0),
+    ("records.last_round", 99),
+    ("records.times_selected", True),
+    ("records.explored", 1),
+    ("records.client_id", 7),
+    ("utility_history", []),
+    ("utility_history", [math.nan]),
+    ("preferred_duration", 0.0),
+    ("preferred_duration", -5.0),
+    ("preferred_duration", "10"),
+    ("round_index", 1.5),
+], ids=lambda v: repr(v))
+def test_bad_checkpoint_rejected_and_store_untouched(tmp_path, where, value):
+    payload = saved_payload(tmp_path)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(corrupt(payload, where, value)))
+    with pytest.raises(CheckpointError):
+        Checkpoint.from_json(path.read_text())
+    s = store()
+    s.register_client("z")
+    before = s.snapshot()
+    with pytest.raises(CheckpointError):
+        s.load(str(path))
+    assert s.snapshot() == before
+
+
+def test_checkpoint_record_with_missing_or_extra_field_rejected(tmp_path):
+    payload = saved_payload(tmp_path)
+    missing = json.loads(json.dumps(payload))
+    del missing["records"][0]["duration"]
+    extra = json.loads(json.dumps(payload))
+    extra["records"][0]["color"] = "red"
+    for bad in (missing, extra):
+        with pytest.raises(CheckpointError):
+            Checkpoint.from_json(json.dumps(bad))
+
+
+def test_restore_rejects_inconsistent_checkpoint_untouched():
+    s = store()
+    s.register_client("a")
+    feed(s, ("a", 1.0, 1.0))
+    cp = s.snapshot()
+    with pytest.raises(CheckpointError):
+        dataclasses.replace(cp, round_index=0)
+    with pytest.raises(CheckpointError):
+        dataclasses.replace(cp, utility_history=())
+    assert s.snapshot() == cp

@@ -17,8 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedsel.experiments import canonical_selector_config
-from fedsel.metastore import MetaStore, RoundFeedback
-from fedsel.training import TrainingSelector
+from fedsel.metastore import ClientRecord, MetaStore, RoundFeedback, StoreView
+from fedsel.training import (TrainingSelector, staleness_bonus, system_penalty,
+                             weighted_sample_without_replacement)
 
 GOLDEN_CLIENTS = 2000
 GOLDEN_ROUNDS = 30
@@ -106,7 +107,8 @@ def test_selection_properties(n, explored, rounds, threshold, hinted, k, seed,
     store = populated_store(n, explored, rounds, threshold, hinted, seed)
     ids = [f"c{i:03d}" for i in range(n)]
     use_candidates = data.draw(st.booleans())
-    candidates = (data.draw(st.lists(st.sampled_from(ids), unique=True))
+    # Repeated candidate ids are allowed and must count once.
+    candidates = (data.draw(st.lists(st.sampled_from(ids)))
                   if use_candidates else None)
     view = store.view()
     blacklisted = {cid for cid, rec in view.records.items() if rec.blacklisted}
@@ -123,3 +125,67 @@ def test_selection_properties(n, explored, rounds, threshold, hinted, k, seed,
     again, _ = TrainingSelector(cfg, seed=seed).select_participants(
         store.view(), k, r, candidates=candidates)
     assert again == picks
+
+
+# -- array forms against their scalar references -------------------------------------
+
+
+def reference_sample(rng, ids, weights, k):
+    """Sequential draws through rng.choice, one call per pick."""
+    n = len(ids)
+    w = np.asarray(weights, dtype=float)
+    avail = np.ones(n, dtype=bool)
+    picks = []
+    for _ in range(min(k, n)):
+        live = np.where(avail, w, 0.0)
+        total = live.sum()
+        if total > 0:
+            j = int(rng.choice(n, p=live / total))
+        else:
+            candidates = np.flatnonzero(avail)
+            j = int(candidates[rng.integers(len(candidates))])
+        picks.append(ids[j])
+        avail[j] = False
+    return picks
+
+
+@settings(max_examples=200, deadline=None)
+@given(weights=st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1e6)),
+                        min_size=1, max_size=80),
+       k=st.integers(1, 90), seed=st.integers(0, 2**32 - 1))
+def test_sampler_makes_the_draws_of_rng_choice(weights, k, seed):
+    ids = list(range(len(weights)))
+    assert (weighted_sample_without_replacement(
+                np.random.default_rng(seed), ids, weights, k)
+            == reference_sample(np.random.default_rng(seed), ids, weights, k))
+
+
+@pytest.mark.parametrize("fairness", [0.0, 0.5])
+def test_breakdowns_equal_the_scalar_formulas_exactly(fairness):
+    rng = np.random.default_rng(3)
+    round_index, t_pref, alpha = 17, 20.0, 1.5
+    records = [ClientRecord(client_id=f"c{i:03d}", stat_utility=float(u),
+                            last_round=int(lr), duration=float(d),
+                            times_selected=int(ts), explored=True)
+               for i, (u, lr, d, ts) in enumerate(zip(
+                   rng.uniform(0, 40, 300), rng.integers(1, round_index + 1, 300),
+                   t_pref * rng.lognormal(0, 0.6, 300), rng.integers(1, 9, 300)))]
+    view = StoreView.from_records(records, round_index, t_pref)
+    cfg = canonical_selector_config(fairness_weight=fairness,
+                                    straggler_penalty=alpha)
+    downs = TrainingSelector(cfg).compute_breakdowns(view, round_index)
+    assert [b.client_id for b in downs] == [r.client_id for r in records]
+    bases = []
+    for rec, b in zip(records, downs):
+        stale = staleness_bonus(round_index, rec.last_round)
+        base = system_penalty(rec.stat_utility + stale, t_pref, rec.duration,
+                              alpha)
+        assert b.staleness_bonus == stale
+        assert b.system_factor == base / (rec.stat_utility + stale)
+        bases.append(base)
+    max_sel = max(r.times_selected for r in records)
+    raw = [float(max_sel - r.times_selected) for r in records]
+    scale = max(bases) / max(raw)
+    for b, base, r in zip(downs, bases, raw):
+        fair = r * scale if fairness > 0 else 0.0
+        assert b.final_utility == (1.0 - fairness) * base + fairness * fair

@@ -305,3 +305,20 @@ def test_availability_zero_round_is_idle():
     result = session.run_round()
     assert result.completers == ()
     assert result.wall_time == 0.0
+
+
+def test_resumed_session_reports_same_fairness_as_uninterrupted():
+    straight = make_session(policy="guided", seed=4)
+    straight.run_rounds(6)
+    base = make_session(policy="guided", seed=4)
+    base.run_rounds(3)
+    checkpoint = base.snapshot()
+    resumed = make_session(policy="guided", seed=4)
+    resumed.restore(checkpoint)
+    resumed.run_rounds(3)
+    ids = straight.world.client_ids()
+    assert resumed.selection_history == straight.selection_history
+    assert (fairness_metrics(resumed.selection_history, ids,
+                             resumed.blacklisted_ids)
+            == fairness_metrics(straight.selection_history, ids,
+                                straight.blacklisted_ids))

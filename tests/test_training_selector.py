@@ -24,10 +24,8 @@ REL = 1e-4
 
 def make_view(records: list[ClientRecord], round_index: int = 10,
               preferred_duration: float = 10.0) -> StoreView:
-    return StoreView(records={r.client_id: r for r in records},
-                     round_index=round_index,
-                     preferred_duration=preferred_duration,
-                     utility_history=())
+    return StoreView.from_records(records, round_index=round_index,
+                                  preferred_duration=preferred_duration)
 
 
 def explored(cid: str, utility: float, duration: float = 5.0,
@@ -502,3 +500,17 @@ def test_metrics_sink_rows(tmp_path):
     lines = sink.getvalue().strip().splitlines()
     assert lines[0].startswith("round\tclient_id")
     assert len(lines) == 1 + 5
+
+
+def test_repeated_candidates_give_distinct_picks():
+    # regression: repeated candidate ids used to be picked repeatedly
+    view = make_view([fresh(c) for c in "abcd"])
+    picked, _ = selector(seed=0).select_participants(
+        view, 4, round_index=1, candidates=["a", "a", "a", "b"])
+    assert sorted(picked) == ["a", "b"]
+
+
+def test_repeated_candidates_give_one_breakdown_each():
+    view = make_view([explored(c, utility=3.0) for c in "abc"])
+    downs = selector().compute_breakdowns(view, 2, candidates=["c", "a", "c"])
+    assert [b.client_id for b in downs] == ["a", "c"]
