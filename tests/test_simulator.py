@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -322,3 +323,52 @@ def test_resumed_session_reports_same_fairness_as_uninterrupted():
                              resumed.blacklisted_ids)
             == fairness_metrics(straight.selection_history, ids,
                                 straight.blacklisted_ids))
+
+
+# -- golden round-engine digests ------------------------------------------------
+
+
+GOLDEN_ROUNDS = 8
+
+
+def round_engine_digest(policy: str) -> str:
+    """Fold every RoundResult field, the final weights, the clock and the
+    utility history of a short seeded run into one digest.
+
+    The short pacer step puts stragglers behind the preferred duration and the
+    two-round window lets the pacer fire at round 5, so the six policies give
+    six different runs.
+    """
+    session = make_session(policy=policy, seed=9, k=5,
+                           config=SelectorConfig(pacer_step=1.0, pacer_window=2))
+    digest = hashlib.sha256()
+    for _ in range(GOLDEN_ROUNDS):
+        r = session.run_round()
+        digest.update(repr((r.round_index, r.invited, r.completers, r.utilities,
+                            r.durations, r.wall_time, r.accuracy,
+                            r.preferred_duration)).encode())
+    digest.update(session.weights.tobytes())
+    digest.update(repr((session.wall_clock,
+                        session.store.view().utility_history)).encode())
+    return digest.hexdigest()
+
+
+GOLDEN_ROUND_DIGESTS = {
+    "random":
+        "964c1922fdee9b70c25affd12069e5670728da095c3e1884442368b7849b74de",
+    "guided":
+        "d5852ae28d0a4ad895e7e70489f536a56a9d41eeb3d9e3575e4e7b80153ee554",
+    "guided_no_pacer":
+        "10edc782b0af61203b2c13a490078e51d53d319a30ede4727aa894d47fedbfa1",
+    "guided_no_sys":
+        "3d1d7bab276aa2b51582d0d789178230f354338232ecaa259dea1b71172d69dd",
+    "speed_only":
+        "1f3e857405b5c3a4273733049d327007085683e48aa585acfe38fd8b07678641",
+    "stat_only":
+        "b4851e1d12cf2766838db39a88ca092ad5d66990fee3eca045b394b9139501f1",
+}
+
+
+@pytest.mark.parametrize("policy", sorted(GOLDEN_ROUND_DIGESTS))
+def test_golden_round_engine_digest(policy):
+    assert round_engine_digest(policy) == GOLDEN_ROUND_DIGESTS[policy]
