@@ -6,30 +6,23 @@ rerunning a command with the same inputs rewrites byte-identical outputs.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import json
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import click
 import numpy as np
 
 from . import testing
-from .errors import BudgetExceededError, InfeasibleQueryError, SizeGuardError
+from .errors import (BudgetExceededError, InfeasibleQueryError, SizeGuardError,
+                     TraceParseError)
 from .experiments import summarize, write_summary_table
 from .simulation import POLICIES, TrainingSession, write_metrics_table
 from .training import SelectorConfig
 from .workload import PopulationSpec, apply_trace, generate_population, load_trace
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("FEDSEL_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 @click.group()
@@ -55,42 +48,38 @@ def simulate_train(config_path, policies, seeds, k, target, out_dir, verbose):
     seeds = list(seeds) or cfg["seeds"]
     k = k if k is not None else cfg["k"]
     target = target if target is not None else cfg["target"]
-    max_rounds = cfg["max_rounds"]
     if k < 1:
         raise click.UsageError("k must be >= 1")
-    if not seeds:
-        raise click.UsageError("seeds must be non-empty")
     if not 0.0 <= target < 1.0:
         raise click.UsageError("target must be in [0, 1)")
+    if not isinstance(policies, list) or any(p not in POLICIES for p in policies):
+        raise click.UsageError(f"policies must be a list drawn from "
+                               f"{', '.join(POLICIES)}, got {policies!r}")
+    if not (isinstance(seeds, list) and seeds and all(type(s) is int for s in seeds)):
+        raise click.UsageError(f"seeds must be a non-empty list of integers: {seeds!r}")
+    try:
+        selector = SelectorConfig(**cfg["selector"])
+        specs = {seed: PopulationSpec.from_dict({**cfg["population"], "seed": seed})
+                 for seed in seeds}
+        trace = load_trace(cfg["trace_path"]) if cfg.get("trace_path") else []
+    except (TypeError, ValueError, TraceParseError, OSError) as exc:
+        raise click.UsageError(f"bad run config: {exc}") from exc
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    def one_run(policy: str, seed: int):
-        spec = PopulationSpec.from_dict({**cfg["population"], "seed": seed})
-        world = generate_population(spec)
-        if cfg.get("trace_path"):
-            unmatched = apply_trace(world, load_trace(cfg["trace_path"]))
-            if unmatched:
-                click.echo(f"trace: {len(unmatched)} rows did not match any client")
-        sink = None
-        if verbose:
-            sink = open(out / f"utilities_{policy}_seed{seed}.tsv", "w",
-                        encoding="utf-8")
-        try:
-            session = TrainingSession(world, policy,
-                                      SelectorConfig(**cfg["selector"]), k, seed,
+    records = []
+    for policy, seed in itertools.product(policies, seeds):
+        world = generate_population(specs[seed])
+        if unmatched := apply_trace(world, trace):
+            click.echo(f"trace: {len(unmatched)} rows did not match any client")
+        table = out / f"utilities_{policy}_seed{seed}.tsv"
+        with (open(table, "w", encoding="utf-8") if verbose
+              else contextlib.nullcontext()) as sink:
+            session = TrainingSession(world, policy, selector, k, seed,
                                       metrics_sink=sink)
-            record = session.train_to_target(target, max_rounds)
-        finally:
-            if sink is not None:
-                sink.close()
-        write_metrics_table(str(out / f"run_{policy}_seed{seed}.tsv"), record)
-        return record
-
-    jobs = [(policy, seed) for policy in policies for seed in seeds]
-    with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
-        records = list(pool.map(lambda job: one_run(*job), jobs))
+            records.append(session.train_to_target(target, cfg["max_rounds"]))
+        write_metrics_table(str(out / f"run_{policy}_seed{seed}.tsv"), records[-1])
 
     rows = summarize(records)
     write_summary_table(str(out / "summary.tsv"), rows)

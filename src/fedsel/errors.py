@@ -1,6 +1,15 @@
-"""Exception types shared across the package."""
+"""Exception types and the finite-number check shared across the package."""
 
 from __future__ import annotations
+
+import math
+
+
+def require_finite(**values: object) -> None:
+    """Raise ValueError naming the first float value that is NaN or infinite."""
+    for name, value in values.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 class FedselError(Exception):

@@ -16,7 +16,7 @@ import numpy as np
 
 from .simulation import TrainingSession, TrainRecord, corrupt_clients
 from .training import SelectorConfig
-from .workload import PopulationSpec, SimWorld, generate_population
+from .workload import PopulationSpec, generate_population
 
 CANONICAL_K = 50
 CANONICAL_ROUNDS = 300
@@ -71,8 +71,7 @@ class RunSetup:
 
 
 def run_fixed_rounds(setup: RunSetup, spec: PopulationSpec | None = None,
-                     config: SelectorConfig | None = None,
-                     **session_kwargs) -> TrainRecord:
+                     config: SelectorConfig | None = None) -> TrainRecord:
     """Run a policy for a fixed number of rounds and keep the full trace."""
     spec = spec or canonical_population_spec(setup.seed)
     config = config or canonical_selector_config()
@@ -82,20 +81,8 @@ def run_fixed_rounds(setup: RunSetup, spec: PopulationSpec | None = None,
     if setup.corrupt_fraction:
         corrupt_clients(world, fraction=setup.corrupt_fraction,
                         seed=setup.seed + 7919)
-    session = TrainingSession(world, setup.policy, config, setup.k, setup.seed,
-                              **session_kwargs)
-    rounds = tuple(session.run_rounds(setup.rounds))
-    return TrainRecord(policy=setup.policy, seed=setup.seed, target=float("nan"),
-                       reached=False, rounds_used=len(rounds),
-                       wall_clock=session.wall_clock, rounds=rounds,
-                       utility_history=session.store.view().utility_history)
-
-
-def build_session(world: SimWorld, policy: str, seed: int,
-                  k: int = CANONICAL_K, config: SelectorConfig | None = None,
-                  **session_kwargs) -> TrainingSession:
-    config = config or canonical_selector_config()
-    return TrainingSession(world, policy, config, k, seed, **session_kwargs)
+    session = TrainingSession(world, setup.policy, config, setup.k, setup.seed)
+    return session.record(session.run_rounds(setup.rounds))
 
 
 def time_to_accuracy(record: TrainRecord, target: float) -> tuple[int, float] | None:

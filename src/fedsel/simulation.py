@@ -1,10 +1,11 @@
 """Trace-driven federated training engine.
 
-Each round invites ceil(1.3*K) clients under a selection policy, runs one
-local epoch of minibatch gradient descent per invited client, aggregates the
-first K completions into the global model, and feeds utility/duration
-feedback back to the metadata store. The simulated clock advances by the
-K-th completion time.
+Each round invites ceil(1.3*K) clients under a selection policy (one row of
+``POLICY_TABLE``), ranks them by completion time, runs one local epoch of
+minibatch gradient descent for each of the first K to complete, aggregates
+those K models into the global model, and feeds utility/duration feedback
+back to the metadata store. The simulated clock advances by the K-th
+completion time.
 
 Every random draw derives from (seed, round, purpose[, client]), so runs are
 reproducible across processes and thread counts, and a run resumed from a
@@ -17,6 +18,7 @@ import dataclasses
 import logging
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import TextIO
 
 import numpy as np
@@ -30,8 +32,34 @@ from .workload import SimWorld
 
 logger = logging.getLogger(__name__)
 
-POLICIES = ("random", "guided", "guided_no_pacer", "guided_no_sys",
-            "speed_only", "stat_only")
+
+@dataclass(frozen=True)
+class Policy:
+    """How a policy invites clients and which selector parts it keeps.
+
+    ``invite`` is ``random`` (a uniform draw), ``fastest`` (lowest compute
+    latency first) or ``selector`` (the training selector). The flags keep
+    the pacer, the straggler penalty (``system_aware``) and speed-weighted
+    exploration (``speed_hints``).
+    """
+
+    invite: str
+    pacer: bool = False
+    system_aware: bool = True
+    speed_hints: bool = True
+
+
+# Two baselines, then guided selection and its ablations, each of which drops
+# one part of it.
+POLICY_TABLE = MappingProxyType({
+    "random": Policy("random"),
+    "guided": Policy("selector", pacer=True),
+    "guided_no_pacer": Policy("selector"),
+    "guided_no_sys": Policy("selector", system_aware=False),
+    "speed_only": Policy("fastest"),
+    "stat_only": Policy("selector", system_aware=False, speed_hints=False),
+})
+POLICIES = tuple(POLICY_TABLE)
 
 OVERCOMMIT = 1.3
 
@@ -44,7 +72,7 @@ _STREAM_LOCAL = 5
 @dataclass(frozen=True)
 class RoundResult:
     round_index: int
-    invited: tuple[str, ...]
+    invited: tuple[str, ...]       # in completion order
     completers: tuple[str, ...]
     utilities: tuple[float, ...]   # per completer, aggregate loss-derived
     durations: tuple[float, ...]   # per completer, seconds
@@ -59,7 +87,7 @@ class RoundResult:
 
 @dataclass(frozen=True)
 class TrainRecord:
-    """Outcome of a time-to-accuracy run.
+    """Outcome of a run.
 
     ``utility_history[r-1]`` is the clipped statistical utility the store
     recorded for round r (what the pacer consumes).
@@ -96,40 +124,34 @@ class SessionCheckpoint:
 class TrainingSession:
     """One policy driving federated rounds over a world."""
 
+    learning_rate = 0.05
+    lr_decay_rounds = 60.0
+    batch_size = 32
+
     def __init__(self, world: SimWorld, policy: str, config: SelectorConfig,
-                 k: int, seed: int, learning_rate: float = 0.05,
-                 lr_decay_rounds: float = 60.0, batch_size: int = 32,
-                 weight_by_samples: bool = False,
-                 metrics_sink: TextIO | None = None):
-        if policy not in POLICIES:
+                 k: int, seed: int, metrics_sink: TextIO | None = None):
+        if policy not in POLICY_TABLE:
             raise ValueError(f"policy must be one of {POLICIES}")
         if k < 1:
             raise ValueError("k must be >= 1")
         self.world = world
         self.policy = policy
+        self.rules = rules = POLICY_TABLE[policy]
         self.k = k
+        self._want = math.ceil(OVERCOMMIT * k)
         self.seed = seed
-        self.learning_rate = learning_rate
-        self.lr_decay_rounds = lr_decay_rounds
-        self.batch_size = batch_size
-        self.weight_by_samples = weight_by_samples
-
-        if policy in ("guided_no_sys", "stat_only"):
+        if not rules.system_aware:
             config = dataclasses.replace(config, straggler_penalty=0.0)
         self.config = config
 
-        self.store = MetaStore(
-            preferred_duration=config.pacer_step,
-            clip_percentile=config.clip_percentile,
-            blacklist_threshold=config.blacklist_threshold,
-        )
-        # stat_only is fully system-blind: no speed hints, so its exploration
-        # is uniform instead of speed-weighted.
-        give_hints = policy != "stat_only"
+        self.store = MetaStore(preferred_duration=config.pacer_step,
+                               clip_percentile=config.clip_percentile,
+                               blacklist_threshold=config.blacklist_threshold)
         self._ids = world.client_ids()
         self._index = {cid: i for i, cid in enumerate(self._ids)}
         for cid in self._ids:
-            hint = 1.0 / world.clients[cid].compute_latency if give_hints else None
+            hint = (1.0 / world.clients[cid].compute_latency
+                    if rules.speed_hints else None)
             self.store.register_client(cid, speed_hint=hint)
 
         self.selector = TrainingSelector(config, seed=seed,
@@ -139,10 +161,7 @@ class TrainingSession:
         self.selection_history: list[tuple[str, ...]] = []
         self._model_bytes = model.model_bytes(self.weights)
 
-    # -- policy dispatch -----------------------------------------------------
-
-    def _uses_pacer(self) -> bool:
-        return self.policy == "guided"
+    # -- invitation ----------------------------------------------------------
 
     def _available_clients(self, round_index: int) -> list[str]:
         rng = np.random.default_rng([self.seed, round_index, _STREAM_AVAILABILITY])
@@ -151,20 +170,22 @@ class TrainingSession:
                 if u < self.world.clients[cid].availability]
 
     def _invite(self, round_index: int, available: list[str]) -> list[str]:
-        want = math.ceil(OVERCOMMIT * self.k)
         if not available:
             return []
-        if self.policy == "random":
-            rng = np.random.default_rng([self.seed, round_index, _STREAM_POLICY])
-            take = min(want, len(available))
-            picks = rng.choice(len(available), size=take, replace=False)
-            return [available[i] for i in picks]
-        if self.policy == "speed_only":
+        if self.rules.invite == "fastest":
             ranked = sorted(available,
                             key=lambda c: (self.world.clients[c].compute_latency, c))
-            return ranked[:want]
+            return ranked[:self._want]
+        if self.rules.invite == "selector":
+            return self._select(round_index, available)
+        rng = np.random.default_rng([self.seed, round_index, _STREAM_POLICY])
+        picks = rng.choice(len(available), size=min(self._want, len(available)),
+                           replace=False)
+        return [available[i] for i in picks]
+
+    def _select(self, round_index: int, available: list[str]) -> list[str]:
         view = self.store.view()
-        if self._uses_pacer():
+        if self.rules.pacer:
             new_t = scheduled_pacer_tick(
                 view.utility_history[:round_index - 1], round_index,
                 self.config.pacer_window, view.preferred_duration,
@@ -174,7 +195,7 @@ class TrainingSession:
                 view = self.store.view()
         try:
             selected, _ = self.selector.select_participants(
-                view, want, round_index, candidates=available)
+                view, self._want, round_index, candidates=available)
         except EmptySelectionError:
             logger.warning("round %d: no feasible clients, idle round", round_index)
             return []
@@ -184,61 +205,67 @@ class TrainingSession:
 
     def run_round(self) -> RoundResult:
         round_index = self.store.advance_round()
-        available = self._available_clients(round_index)
-        invited = self._invite(round_index, available)
-        if len(invited) < math.ceil(OVERCOMMIT * self.k):
+        invited = self._invite(round_index, self._available_clients(round_index))
+        if len(invited) < self._want:
             logger.debug("round %d: only %d clients invited", round_index,
                          len(invited))
 
+        # Completion order depends on the system trace alone, never on the
+        # training, so only the first K to finish are trained.
+        clients = self.world.clients
+        durations = {cid: clients[cid].sample_count * clients[cid].compute_latency
+                     + self._model_bytes / clients[cid].bandwidth for cid in invited}
+        ranked = sorted(invited, key=lambda c: (durations[c], c))
+        completers = ranked[:self.k]
         lr = self.learning_rate / (1.0 + round_index / self.lr_decay_rounds)
-        outcomes = []
-        for cid in invited:
-            client = self.world.clients[cid]
+        by_norms = self.config.utility_mode == "gradient_norm_batches"
+        models, utilities = [], []
+        for cid in completers:
+            client = clients[cid]
             rng = np.random.default_rng(
                 [self.seed, round_index, _STREAM_LOCAL, self._index[cid]])
             new_w, losses, batch_norms = model.local_epoch(
                 self.weights, client.features, client.labels, lr,
                 self.batch_size, rng)
-            duration = (client.sample_count * client.compute_latency
-                        + self._model_bytes / client.bandwidth)
-            if self.config.utility_mode == "gradient_norm_batches":
-                utility = gradient_norm_utility(batch_norms)
-            else:
-                utility = statistical_utility(losses)
-            outcomes.append((duration, cid, utility, new_w, client.sample_count))
+            models.append(new_w)
+            utilities.append(gradient_norm_utility(batch_norms) if by_norms
+                             else statistical_utility(losses))
 
-        outcomes.sort(key=lambda o: (o[0], o[1]))
-        completers = outcomes[:self.k]
+        wall = 0.0
         if completers:
-            if self.weight_by_samples:
-                weights = np.array([o[4] for o in completers], dtype=float)
-                weights /= weights.sum()
-            else:
-                weights = np.full(len(completers), 1.0 / len(completers))
-            self.weights = np.einsum("i,ijk->jk", weights,
-                                     np.stack([o[3] for o in completers]))
-            wall = completers[-1][0]
-            feedback = [RoundFeedback(client_id=o[1], agg_stat_value=o[2],
-                                      wall_duration=o[0], round_index=round_index)
-                        for o in completers]
-            self.store.update_with_feedback(feedback)
-        else:
-            wall = 0.0
+            self.weights = np.einsum("i,ijk->jk",
+                                     np.full(len(models), 1.0 / len(models)),
+                                     np.stack(models))
+            wall = durations[completers[-1]]
+            self.store.update_with_feedback(
+                RoundFeedback(client_id=cid, agg_stat_value=u,
+                              wall_duration=durations[cid], round_index=round_index)
+                for cid, u in zip(completers, utilities))
         self.wall_clock += wall
-        self.selection_history.append(tuple(o[1] for o in completers))
+        self.selection_history.append(tuple(completers))
 
         acc = model.accuracy(self.weights, self.world.test_features,
                              self.world.test_labels)
         return RoundResult(
             round_index=round_index,
-            invited=tuple(o[1] for o in outcomes),
-            completers=tuple(o[1] for o in completers),
-            utilities=tuple(o[2] for o in completers),
-            durations=tuple(o[0] for o in completers),
+            invited=tuple(ranked),
+            completers=tuple(completers),
+            utilities=tuple(utilities),
+            durations=tuple(durations[cid] for cid in completers),
             wall_time=wall,
             accuracy=acc,
             preferred_duration=self.store.preferred_duration,
         )
+
+    def run_rounds(self, count: int) -> list[RoundResult]:
+        return [self.run_round() for _ in range(count)]
+
+    def record(self, rounds: list[RoundResult], target: float = math.nan,
+               reached: bool = False) -> TrainRecord:
+        """The run record of ``rounds``, with the session's clock and history."""
+        return TrainRecord(self.policy, self.seed, target, reached, len(rounds),
+                           self.wall_clock, tuple(rounds),
+                           self.store.view().utility_history)
 
     def train_to_target(self, target: float, max_rounds: int) -> TrainRecord:
         """Run rounds until the held-out accuracy reaches the target."""
@@ -247,27 +274,15 @@ class TrainingSession:
         if max_rounds < 0:
             raise ValueError("max_rounds must be >= 0")
         rounds: list[RoundResult] = []
-        initial = model.accuracy(self.weights, self.world.test_features,
-                                 self.world.test_labels)
-        if initial >= target:
-            return TrainRecord(self.policy, self.seed, target, True, 0,
-                               self.wall_clock, tuple())
-        reached = False
-        for _ in range(max_rounds):
-            result = self.run_round()
-            rounds.append(result)
-            if result.accuracy >= target:
-                reached = True
-                break
+        reached = model.accuracy(self.weights, self.world.test_features,
+                                 self.world.test_labels) >= target
+        while not reached and len(rounds) < max_rounds:
+            rounds.append(self.run_round())
+            reached = rounds[-1].accuracy >= target
         if not reached:
             logger.info("%s/seed=%d: target %.4f not reached in %d rounds",
                         self.policy, self.seed, target, max_rounds)
-        return TrainRecord(self.policy, self.seed, target, reached,
-                           len(rounds), self.wall_clock, tuple(rounds),
-                           self.store.view().utility_history)
-
-    def run_rounds(self, count: int) -> list[RoundResult]:
-        return [self.run_round() for _ in range(count)]
+        return self.record(rounds, target, reached)
 
     # -- persistence ---------------------------------------------------------
 

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence, TextIO
 
 import numpy as np
 
-from .errors import EmptySelectionError
+from .errors import EmptySelectionError, require_finite
 
 if TYPE_CHECKING:
     from .metastore import StoreView
@@ -51,6 +51,7 @@ class SelectorConfig:
     noise_epsilon: float = 0.0
 
     def __post_init__(self):
+        require_finite(**vars(self))
         if not self.pacer_step > 0:
             raise ValueError("pacer_step must be > 0")
         if not 0.0 <= self.exploration_factor <= 1.0:

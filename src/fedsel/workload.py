@@ -8,14 +8,13 @@ plain tabular device trace.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, fields
 from typing import Iterable
 
 import numpy as np
 
-from .errors import TraceParseError
+from .errors import TraceParseError, require_finite
 
 
 @dataclass(frozen=True)
@@ -42,6 +41,7 @@ class PopulationSpec:
     shift_latency_coupling: float = 0.0
 
     def __post_init__(self):
+        require_finite(**vars(self))
         if self.client_count < 1:
             raise ValueError("client_count must be >= 1")
         if self.class_count < 2:
@@ -66,12 +66,6 @@ class PopulationSpec:
             raise ValueError("client_shift must be >= 0")
         if not -1.0 <= self.shift_latency_coupling <= 1.0:
             raise ValueError("shift_latency_coupling must be in [-1, 1]")
-
-    @classmethod
-    def from_file(cls, path: str) -> "PopulationSpec":
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        return cls.from_dict(payload)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "PopulationSpec":
@@ -271,6 +265,8 @@ def load_trace(path: str) -> list[TraceRow]:
         try:
             latency, bandwidth, availability = (float(parts[1]), float(parts[2]),
                                                 float(parts[3]))
+            require_finite(compute_latency=latency, bandwidth=bandwidth,
+                           availability=availability)
         except ValueError as exc:
             raise TraceParseError(path, line_no, f"bad number: {exc}") from exc
         if latency <= 0 or bandwidth <= 0:

@@ -101,6 +101,25 @@ def test_simulate_train_missing_config_key(runner, tmp_path):
     assert "selector" in result.output
 
 
+@pytest.mark.parametrize("overrides, message", [
+    ({"policies": ["clairvoyant"]}, "policies"),
+    ({"selector": {"pacer_step": 5.0, "pacer_stepp": 3}}, "pacer_stepp"),
+    ({"seeds": ["1"]}, "seeds"),
+    ({"selector": {"pacer_step": 5.0, "straggler_penalty": math.nan}},
+     "straggler_penalty"),
+    ({"trace_path": "no-such-trace.tsv"}, "no-such-trace.tsv"),
+], ids=["unknown_policy", "unknown_selector_key", "string_seed", "nan_selector",
+        "missing_trace"])
+def test_simulate_train_rejects_bad_run_config(runner, tmp_path, overrides,
+                                               message):
+    cfg = tiny_run_config(tmp_path, **overrides)
+    result = runner.invoke(main, ["simulate-train", "--config", cfg,
+                                  "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert message in result.output
+
+
 def test_estimate_count_worked_example(runner):
     result = runner.invoke(main, ["estimate-count", "--epsilon", "10",
                                   "--delta", "0.95", "--population", "1000",

@@ -8,7 +8,8 @@ from fedsel.experiments import (RunSetup, canonical_population_spec,
                                 canonical_selector_config, run_fixed_rounds,
                                 summarize, time_to_accuracy,
                                 write_summary_table)
-from fedsel.simulation import RoundResult, TrainRecord
+from fedsel.simulation import RoundResult, TrainingSession, TrainRecord
+from fedsel.workload import generate_population
 
 
 def fake_record(policy: str, seed: int, accs, walls, reached=True) -> TrainRecord:
@@ -83,3 +84,31 @@ def test_run_fixed_rounds_applies_noise_and_fairness():
                              spec=spec, config=cfg)
     completers = lambda rec: [r.completers for r in rec.rounds]
     assert completers(base) != completers(noisy)
+
+
+def test_fixed_rounds_and_unreached_target_build_the_same_record():
+    spec = canonical_population_spec(0, client_count=40, test_samples=200)
+    cfg = canonical_selector_config(pacer_window=3)
+    fixed = run_fixed_rounds(RunSetup(policy="guided", seed=0, k=4, rounds=6),
+                             spec=spec, config=cfg)
+    session = TrainingSession(generate_population(spec), "guided", cfg, 4, 0)
+    capped = session.train_to_target(0.9999, max_rounds=6)
+    assert not capped.reached
+    assert capped.rounds == fixed.rounds
+    assert capped.wall_clock == fixed.wall_clock
+    assert capped.utility_history == fixed.utility_history
+    assert len(capped.utility_history) == 6
+
+
+def test_restored_session_at_target_keeps_the_utility_history():
+    spec = canonical_population_spec(0, client_count=40, test_samples=200)
+    cfg = canonical_selector_config(pacer_window=3)
+    base = TrainingSession(generate_population(spec), "guided", cfg, 4, 0)
+    base.run_rounds(3)
+    resumed = TrainingSession(generate_population(spec), "guided", cfg, 4, 0)
+    resumed.restore(base.snapshot())
+    record = resumed.train_to_target(0.0, max_rounds=5)
+    assert record.reached and record.rounds_used == 0
+    assert record.wall_clock == base.wall_clock
+    assert record.utility_history == base.store.view().utility_history
+    assert len(record.utility_history) == 3

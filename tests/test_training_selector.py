@@ -222,6 +222,17 @@ def test_exploration_below_floor_stays_put():
     assert exploration_fraction(cfg, 50) == pytest.approx(0.1)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("straggler_penalty", math.nan),
+    ("noise_epsilon", math.nan),
+    ("exploration_floor", math.nan),
+    ("pacer_step", math.inf),
+])
+def test_non_finite_config_value_rejected(field, value):
+    with pytest.raises(ValueError, match=field):
+        SelectorConfig(**{"pacer_step": 10.0, field: value})
+
+
 # -- weighted sampling ----------------------------------------------------------------
 
 def test_weighted_sampling_no_duplicates_and_bounded():

@@ -84,6 +84,15 @@ def test_class_count_guard():
         spec(class_count=1)
 
 
+@pytest.mark.parametrize("field", [
+    "label_concentration", "sample_exponent", "latency_log_mu",
+    "latency_log_sigma", "class_separation", "client_shift",
+])
+def test_non_finite_spec_value_rejected(field):
+    with pytest.raises(ValueError, match=field):
+        spec(**{field: math.nan})
+
+
 def test_sample_count_histogram_matches_power_law():
     # Kolmogorov distance against the exact clamped-floored CDF; the 3-sigma
     # critical value for the continuous case is conservative here.
@@ -145,10 +154,16 @@ def test_trace_empty_file_no_overrides(tmp_path):
     assert load_trace(path) == []
 
 
-def test_trace_zero_bandwidth_rejected(tmp_path):
+@pytest.mark.parametrize("row", [
+    "a\t0.5\t0\t0.9",
+    "a\tnan\t100\t0.9",
+    "a\tinf\t100\t0.9",
+    "a\t0.5\tinf\t0.9",
+], ids=["zero_bandwidth", "nan_latency", "inf_latency", "inf_bandwidth"])
+def test_trace_zero_bandwidth_rejected(tmp_path, row):
     path = write_trace(tmp_path,
                        "client_id\tcompute_latency\tbandwidth\tavailability\n"
-                       "a\t0.5\t0\t0.9\n")
+                       + row + "\n")
     with pytest.raises(TraceParseError) as exc:
         load_trace(path)
     assert exc.value.line_no == 2
