@@ -48,10 +48,14 @@ def simulate_train(config_path, policies, seeds, k, target, out_dir, verbose):
     seeds = list(seeds) or cfg["seeds"]
     k = k if k is not None else cfg["k"]
     target = target if target is not None else cfg["target"]
-    if k < 1:
-        raise click.UsageError("k must be >= 1")
-    if not 0.0 <= target < 1.0:
-        raise click.UsageError("target must be in [0, 1)")
+    max_rounds = cfg["max_rounds"]
+    if type(k) is not int or k < 1:
+        raise click.UsageError(f"k must be an integer >= 1, got {k!r}")
+    if type(target) not in (int, float) or not 0.0 <= target < 1.0:
+        raise click.UsageError(f"target must be a number in [0, 1), got {target!r}")
+    if type(max_rounds) is not int or max_rounds < 0:
+        raise click.UsageError(
+            f"max_rounds must be an integer >= 0, got {max_rounds!r}")
     if not isinstance(policies, list) or any(p not in POLICIES for p in policies):
         raise click.UsageError(f"policies must be a list drawn from "
                                f"{', '.join(POLICIES)}, got {policies!r}")
@@ -78,7 +82,7 @@ def simulate_train(config_path, policies, seeds, k, target, out_dir, verbose):
               else contextlib.nullcontext()) as sink:
             session = TrainingSession(world, policy, selector, k, seed,
                                       metrics_sink=sink)
-            records.append(session.train_to_target(target, cfg["max_rounds"]))
+            records.append(session.train_to_target(target, max_rounds))
         write_metrics_table(str(out / f"run_{policy}_seed{seed}.tsv"), records[-1])
 
     rows = summarize(records)

@@ -410,24 +410,30 @@ def exact_milp(query: DistributionQuery, max_clients: int = 20,
         total = caps[indices].sum(axis=0)
         return bool(np.all(total >= query.preference))
 
-    def recurse(pos: int, included: list[int]) -> None:
+    def recurse(pos: int, included: list[int],
+                relaxed: Assignment | None = None) -> None:
         if len(included) > budget:
             return
-        avail = included + order[pos:]
-        if not capacity_ok(avail):
-            return
-        relaxed = min_makespan_assignment(query, sorted(avail))
-        if relaxed.objective_seconds >= best["value"] - 1e-12:
-            return
-        if relaxed.participant_count <= budget:
-            best["value"] = relaxed.objective_seconds
-            best["assignment"] = relaxed
-            return
+        # An include child gets its parent's ``relaxed``: it has the same
+        # client set, and ``best`` has not moved since the parent solved that
+        # set without pruning or accepting it, so re-solving would only give
+        # the same answers again.
+        if relaxed is None:
+            avail = included + order[pos:]
+            if not capacity_ok(avail):
+                return
+            relaxed = min_makespan_assignment(query, sorted(avail))
+            if relaxed.objective_seconds >= best["value"] - 1e-12:
+                return
+            if relaxed.participant_count <= budget:
+                best["value"] = relaxed.objective_seconds
+                best["assignment"] = relaxed
+                return
         if pos == len(order):
             # avail == included and its relaxed optimum respects the budget
             # by construction of the guard above, so it was handled already.
             return
-        recurse(pos + 1, included + [order[pos]])
+        recurse(pos + 1, included + [order[pos]], relaxed)
         recurse(pos + 1, included)
 
     recurse(0, [])
@@ -463,56 +469,67 @@ def _check_capacity(query: DistributionQuery, caps: np.ndarray) -> None:
 
 
 def _transfer_times(query: DistributionQuery, subset: Sequence[int]) -> np.ndarray:
-    out = np.empty(len(subset))
-    for j, idx in enumerate(subset):
-        size = query.transfer_sizes[idx]
-        b = query.bandwidths[idx]
-        if size == 0:
-            out[j] = 0.0
-        else:
-            out[j] = size / b if b > 0 else math.inf
+    """Upload seconds per client: 0 with nothing to send, inf without bandwidth."""
+    sizes = query.transfer_sizes[subset]
+    bandwidths = query.bandwidths[subset]
+    out = np.where(sizes == 0, 0.0, math.inf)
+    sends = (sizes != 0) & (bandwidths > 0)
+    out[sends] = sizes[sends] / bandwidths[sends]
     return out
+
+
+def _flow_graph(caps_sub: np.ndarray, totals: np.ndarray,
+                preference: np.ndarray) -> csr_matrix:
+    """Transportation network of :func:`_feasible_flow` as a CSR matrix.
+
+    Node 0 is the source, 1..n the clients, n+1..n+i the categories and n+i+1
+    the sink. Only positive capacities become edges: source -> client (total
+    cap), client -> category (cell cap, row-major), category -> sink (demand).
+    Each row's edges are already in ascending column order, so the edge
+    arrays are the CSR arrays.
+    """
+    n, i = caps_sub.shape
+    sink = 1 + n + i
+    senders = np.flatnonzero(totals > 0)
+    cells = caps_sub > 0
+    client, category = np.nonzero(cells)
+    wanted = np.flatnonzero(preference > 0)
+    vals = np.concatenate((totals[senders], caps_sub[cells], preference[wanted]))
+    if vals.size and vals.max() >= 2 ** 31:
+        raise ValueError("sample counts too large for the flow solver")
+    indices = np.concatenate((1 + senders, 1 + n + category,
+                              np.full(wanted.size, sink)))
+    per_row = np.zeros(sink + 1, dtype=np.int64)
+    per_row[0] = senders.size
+    per_row[1:1 + n] = cells.sum(axis=1)
+    per_row[1 + n + wanted] = 1
+    indptr = np.concatenate(([0], np.cumsum(per_row)))
+    return csr_matrix((vals.astype(np.int32), indices.astype(np.int32),
+                       indptr.astype(np.int32)), shape=(sink + 1, sink + 1))
 
 
 def _feasible_flow(caps_sub: np.ndarray, totals: np.ndarray,
                    preference: np.ndarray) -> np.ndarray | None:
     """Assignment matrix meeting per-client totals and category demands, or None.
 
-    Transportation feasibility solved as max-flow: source -> client (total
-    cap), client -> category (cell cap), category -> sink (demand).
+    Transportation feasibility solved as max-flow over :func:`_flow_graph`.
     """
     n, i = caps_sub.shape
     demand = int(preference.sum())
     if demand == 0:
         return np.zeros((n, i), dtype=np.int64)
-    src, sink = 0, 1 + n + i
-    rows, cols, vals = [], [], []
-    for c in range(n):
-        if totals[c] > 0:
-            rows.append(src)
-            cols.append(1 + c)
-            vals.append(int(totals[c]))
-    cl, ct = np.nonzero(caps_sub)
-    for c, k in zip(cl, ct):
-        rows.append(1 + int(c))
-        cols.append(1 + n + int(k))
-        vals.append(int(caps_sub[c, k]))
-    for k in range(i):
-        if preference[k] > 0:
-            rows.append(1 + n + k)
-            cols.append(sink)
-            vals.append(int(preference[k]))
-    if vals and max(vals) >= 2 ** 31:
-        raise ValueError("sample counts too large for the flow solver")
-    graph = csr_matrix((np.asarray(vals, dtype=np.int32), (rows, cols)),
-                       shape=(sink + 1, sink + 1))
-    result = maximum_flow(graph, src, sink)
+    result = maximum_flow(_flow_graph(caps_sub, totals, preference), 0, 1 + n + i)
     if result.flow_value < demand:
         return None
-    flow = result.flow.toarray()
+    # Client rows of the flow hold the reverse source edge (column 0) and one
+    # entry per client -> category edge; each (row, column) appears once.
+    flow = result.flow
+    lo, hi = flow.indptr[1], flow.indptr[1 + n]
+    cols = flow.indices[lo:hi]
+    rows = np.repeat(np.arange(n), np.diff(flow.indptr[1:n + 2]))
+    out = cols > n
     assign = np.zeros((n, i), dtype=np.int64)
-    for c in range(n):
-        assign[c] = np.maximum(flow[1 + c, 1 + n:1 + n + i], 0)
+    assign[rows[out], cols[out] - 1 - n] = np.maximum(flow.data[lo:hi][out], 0)
     return assign
 
 

@@ -108,8 +108,16 @@ def test_simulate_train_missing_config_key(runner, tmp_path):
     ({"selector": {"pacer_step": 5.0, "straggler_penalty": math.nan}},
      "straggler_penalty"),
     ({"trace_path": "no-such-trace.tsv"}, "no-such-trace.tsv"),
+    ({"k": "4"}, "k must be an integer"),
+    ({"k": True}, "k must be an integer"),
+    ({"target": "0.5"}, "target must be a number"),
+    ({"target": False}, "target must be a number"),
+    ({"max_rounds": "6"}, "max_rounds must be an integer"),
+    ({"max_rounds": True}, "max_rounds must be an integer"),
+    ({"max_rounds": -1}, "max_rounds must be an integer"),
 ], ids=["unknown_policy", "unknown_selector_key", "string_seed", "nan_selector",
-        "missing_trace"])
+        "missing_trace", "string_k", "bool_k", "string_target", "bool_target",
+        "string_max_rounds", "bool_max_rounds", "negative_max_rounds"])
 def test_simulate_train_rejects_bad_run_config(runner, tmp_path, overrides,
                                                message):
     cfg = tiny_run_config(tmp_path, **overrides)

@@ -5,17 +5,28 @@ The golden digests fold every cell of each assignment plus
 sequence or the branch-and-bound search that moves a single sample or the
 last bit of a makespan shows up here. They cover both bisection paths of
 ``min_makespan_assignment`` and the exact solver.
+
+The flow network and the transfer times are also checked against the
+per-edge and per-client loops they replaced, and the solvers' invariants are
+property-tested on small random queries.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_flow
 
 from fedsel import testing
 from fedsel.cli import _random_query
+from fedsel.errors import BudgetExceededError, InfeasibleQueryError
 
 
 def fold(digest, assignment: testing.Assignment) -> None:
@@ -59,3 +70,169 @@ GOLDEN = {
 def test_golden_cover_digest(case):
     build, shape, seeds, expected = GOLDEN[case]
     assert build(shape, seeds) == expected
+
+
+# -- flow network against the loop reference ----------------------------------
+
+
+def loop_flow_graph(caps_sub, totals, preference) -> csr_matrix:
+    """One (row, col, val) triple per positive capacity, built edge by edge."""
+    n, i = caps_sub.shape
+    src, sink = 0, 1 + n + i
+    rows, cols, vals = [], [], []
+    for c in range(n):
+        if totals[c] > 0:
+            rows.append(src)
+            cols.append(1 + c)
+            vals.append(int(totals[c]))
+    for c, k in zip(*np.nonzero(caps_sub)):
+        rows.append(1 + int(c))
+        cols.append(1 + n + int(k))
+        vals.append(int(caps_sub[c, k]))
+    for k in range(i):
+        if preference[k] > 0:
+            rows.append(1 + n + k)
+            cols.append(sink)
+            vals.append(int(preference[k]))
+    return csr_matrix((np.asarray(vals, dtype=np.int32), (rows, cols)),
+                      shape=(sink + 1, sink + 1))
+
+
+def loop_transfer_times(query, subset) -> list[float]:
+    out = []
+    for idx in subset:
+        size, b = query.transfer_sizes[idx], query.bandwidths[idx]
+        out.append(0.0 if size == 0 else (size / b if b > 0 else math.inf))
+    return out
+
+
+@st.composite
+def flow_inputs(draw):
+    n = draw(st.integers(0, 6))
+    i = draw(st.integers(1, 4))
+    caps = np.array(draw(st.lists(st.integers(0, 9), min_size=n * i,
+                                  max_size=n * i)),
+                    dtype=np.int64).reshape(n, i)
+    totals = np.array(draw(st.lists(st.integers(0, 30), min_size=n,
+                                    max_size=n)), dtype=np.int64)
+    preference = np.array(draw(st.lists(st.integers(0, 20), min_size=i,
+                                        max_size=i)), dtype=np.int64)
+    return caps, totals, preference
+
+
+@settings(max_examples=200, deadline=None)
+@given(flow_inputs())
+def test_flow_graph_matches_loop_reference(inputs):
+    caps, totals, preference = inputs
+    got = testing._flow_graph(caps, totals, preference)
+    want = loop_flow_graph(caps, totals, preference)
+    assert got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    n, i = caps.shape
+    demand = int(preference.sum())
+    assign = testing._feasible_flow(caps, totals, preference)
+    if demand == 0:
+        assert np.array_equal(assign, np.zeros((n, i), dtype=np.int64))
+        return
+    result = maximum_flow(want, 0, 1 + n + i)
+    if result.flow_value < demand:
+        assert assign is None
+        return
+    dense = result.flow.toarray()
+    assert np.array_equal(assign, np.maximum(dense[1:1 + n, 1 + n:1 + n + i], 0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([0.0, 1e3, 2.5e6]),
+                          st.sampled_from([0.0, 7.0, 1e5])), min_size=1,
+                max_size=6))
+def test_transfer_times_match_loop_reference(rows):
+    n = len(rows)
+    query = testing.DistributionQuery(
+        client_ids=tuple(f"c{j}" for j in range(n)),
+        capacities=np.ones((n, 1), dtype=np.int64), preference=[1], budget=n,
+        speeds=np.ones(n), bandwidths=[b for _, b in rows],
+        transfer_sizes=[size for size, _ in rows])
+    subset = list(range(n))[::-1]
+    assert testing._transfer_times(query, subset).tolist() \
+        == loop_transfer_times(query, subset)
+
+
+# -- overflow guard -----------------------------------------------------------
+
+
+def one_category_query(caps, preference) -> testing.DistributionQuery:
+    n = len(caps)
+    return testing.DistributionQuery(
+        client_ids=tuple(f"c{j}" for j in range(n)),
+        capacities=np.asarray(caps, dtype=np.int64)[:, None],
+        preference=[preference], budget=n, speeds=np.full(n, 10.0),
+        bandwidths=np.full(n, 1e6), transfer_sizes=np.full(n, 1e6))
+
+
+@pytest.mark.parametrize("caps, preference", [
+    ([2 ** 31], 5),
+    ([2 ** 31 - 1, 2 ** 31 - 1], 2 ** 31),
+], ids=["capacity", "preference"])
+def test_flow_solver_rejects_counts_beyond_int32(caps, preference):
+    with pytest.raises(ValueError, match="too large for the flow solver"):
+        testing.greedy_cover(one_category_query(caps, preference))
+
+
+def test_flow_solver_accepts_the_largest_int32_count():
+    assignment = testing.greedy_cover(one_category_query([2 ** 31 - 1], 5))
+    assert assignment.samples == {"c0": (5,)}
+    assert assignment.objective_seconds == 5 / 10.0 + 1.0
+
+
+# -- solver properties --------------------------------------------------------
+
+
+@st.composite
+def small_queries(draw):
+    n = draw(st.integers(1, 6))
+    i = draw(st.integers(1, 3))
+    caps = np.array(draw(st.lists(st.integers(0, 6), min_size=n * i,
+                                  max_size=n * i)),
+                    dtype=np.int64).reshape(n, i)
+    totals = caps.sum(axis=0)
+    preference = np.array([draw(st.integers(0, int(t))) for t in totals],
+                          dtype=np.int64)
+    if preference.sum() == 0:
+        preference[int(np.argmax(totals))] = 1
+    positive = st.floats(0.5, 50.0)
+    return testing.DistributionQuery(
+        client_ids=tuple(f"c{j}" for j in range(n)),
+        capacities=caps, preference=preference,
+        budget=draw(st.integers(1, n)),
+        speeds=draw(st.lists(positive, min_size=n, max_size=n)),
+        bandwidths=draw(st.lists(st.floats(1e4, 1e7), min_size=n, max_size=n)),
+        transfer_sizes=draw(st.lists(st.floats(0.0, 1e6), min_size=n,
+                                     max_size=n)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_queries())
+def test_exact_is_valid_and_never_worse_than_greedy(query):
+    try:
+        greedy = testing.greedy_cover(query)
+    except InfeasibleQueryError:
+        with pytest.raises(InfeasibleQueryError):
+            testing.exact_milp(query)
+        return
+    except BudgetExceededError:
+        greedy = None
+    try:
+        exact = testing.exact_milp(query)
+    except InfeasibleQueryError:
+        # Only a budget can make a coverable query infeasible, and then
+        # greedy's cover must have broken it too.
+        assert greedy is None
+        return
+    testing.validate_assignment(query, exact)
+    if greedy is not None:
+        testing.validate_assignment(query, greedy)
+        assert exact.objective_seconds \
+            <= greedy.objective_seconds * (1 + 1e-9)
