@@ -6,6 +6,9 @@ column, which keeps model averaging and byte-size accounting trivial.
 
 from __future__ import annotations
 
+import math
+from typing import Sequence
+
 import numpy as np
 
 
@@ -20,8 +23,8 @@ def model_bytes(weights: np.ndarray) -> int:
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def _logits(weights: np.ndarray, features: np.ndarray) -> np.ndarray:
@@ -62,27 +65,81 @@ def accuracy(weights: np.ndarray, features: np.ndarray,
 
 
 def local_epoch(weights: np.ndarray, features: np.ndarray, labels: np.ndarray,
-                learning_rate: float, batch_size: int,
-                rng: np.random.Generator,
-                ) -> tuple[np.ndarray, np.ndarray, list[float]]:
-    """One epoch of minibatch gradient descent from the given weights.
+                sizes: Sequence[int], learning_rate: float, batch_size: int,
+                rngs: Sequence[np.random.Generator],
+                ) -> tuple[np.ndarray, np.ndarray, list[list[float]]]:
+    """One epoch of minibatch gradient descent for each of K clients, all
+    starting from ``weights``.
 
-    Returns the updated weights, the per-sample training losses observed as
-    each minibatch was processed, and the squared update norm of every batch
-    step (the alternative utility signal).
+    ``features`` and ``labels`` are the K clients' shards concatenated in
+    order, ``sizes`` their row counts, and ``rngs[i]`` permutes client i's
+    shard. Each client runs the epoch it would run alone; the K epochs advance
+    together, one stacked step per batch index over the clients that still
+    have a batch, which is a prefix once clients are sorted by batch count.
+
+    Returns the (K, classes, features+1) stack of updated weights, the
+    per-sample training losses observed as each minibatch was processed
+    (aligned with ``labels``), and each client's squared update norm of every
+    batch step (the alternative utility signal).
     """
-    if learning_rate <= 0 or batch_size < 1:
-        raise ValueError("learning_rate must be > 0 and batch_size >= 1")
-    n = labels.size
-    w = weights.copy()
-    losses = np.empty(n)
-    batch_sq_norms: list[float] = []
-    order = rng.permutation(n)
-    for start in range(0, n, batch_size):
-        idx = order[start:start + batch_size]
+    sizes = np.asarray(sizes)
+    _check_epoch(features, labels, sizes, learning_rate, batch_size, rngs)
+    offsets = np.cumsum(sizes) - sizes
+    batches = -(-sizes // batch_size)
+    by_batches = np.argsort(-batches, kind="stable")
+    sizes_sorted = sizes[by_batches]
+    steps = int(batches.max())
+
+    # Row of every (client, batch slot) in the concatenated shards; a partial
+    # last batch is padded with the client's first row and masked.
+    rows = np.empty((sizes.size, steps * batch_size), dtype=np.intp)
+    for lane, i in enumerate(by_batches):
+        rows[lane, :sizes[i]] = rngs[i].permutation(sizes[i]) + offsets[i]
+        rows[lane, sizes[i]:] = offsets[i]
+    live_counts = (batches[:, None] > np.arange(steps)).sum(axis=0)
+
+    w = np.repeat(weights[None], sizes.size, axis=0)
+    losses = np.empty(labels.size)
+    sq_norms = np.empty((sizes.size, steps))
+    lanes, slots = np.arange(sizes.size)[:, None], np.arange(batch_size)
+    for s, live in enumerate(live_counts):
+        idx = rows[:live, s * batch_size:(s + 1) * batch_size]
         fx, fy = features[idx], labels[idx]
-        losses[idx] = per_sample_losses(w, fx, fy)
-        step = learning_rate * mean_loss_gradient(w, fx, fy)
-        w -= step
-        batch_sq_norms.append(float(np.sum(step * step)))
-    return w, losses, batch_sq_norms
+        wl = w[:live]
+        log_probs = _log_softmax(fx @ wl[:, :, :-1].transpose(0, 2, 1)
+                                 + wl[:, None, :, -1])
+        picked = -log_probs[lanes[:live], slots, fy]
+        probs = np.exp(log_probs, out=log_probs)
+        probs[lanes[:live], slots, fy] -= 1.0
+        counts = np.minimum(sizes_sorted[:live] - s * batch_size,
+                            batch_size)[:, None]
+        mask = slots < counts
+        losses[idx[mask]] = picked[mask]
+        probs[~mask] = 0.0
+        step = np.empty_like(wl)
+        step[:, :, :-1] = probs.transpose(0, 2, 1) @ fx / counts[:, :, None]
+        step[:, :, -1] = probs.sum(axis=1) / counts
+        step *= learning_rate
+        wl -= step
+        sq_norms[:live, s] = (step * step).reshape(live, -1).sum(axis=1)
+
+    back = np.argsort(by_batches)
+    norms = sq_norms[back]
+    return w[back], losses, [row[:n].tolist() for row, n in zip(norms, batches)]
+
+
+def _check_epoch(features, labels, sizes, learning_rate, batch_size, rngs):
+    if not (math.isfinite(learning_rate) and learning_rate > 0):
+        raise ValueError("learning_rate must be finite and > 0")
+    if not isinstance(batch_size, (int, np.integer)) or batch_size < 1:
+        raise ValueError("batch_size must be an integer >= 1")
+    if len(features) != len(labels):
+        raise ValueError("features and labels must have the same number of rows")
+    if sizes.ndim != 1 or sizes.size == 0 or sizes.dtype.kind not in "iu":
+        raise ValueError("sizes must be a non-empty sequence of integers")
+    if np.any(sizes < 1):
+        raise ValueError("every shard needs at least one sample")
+    if int(sizes.sum()) != len(labels):
+        raise ValueError("sizes must sum to the number of samples")
+    if len(rngs) != sizes.size:
+        raise ValueError("need one rng per shard")

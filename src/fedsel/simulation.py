@@ -1,11 +1,11 @@
 """Trace-driven federated training engine.
 
 Each round invites ceil(1.3*K) clients under a selection policy (one row of
-``POLICY_TABLE``), ranks them by completion time, runs one local epoch of
-minibatch gradient descent for each of the first K to complete, aggregates
-those K models into the global model, and feeds utility/duration feedback
-back to the metadata store. The simulated clock advances by the K-th
-completion time.
+``POLICY_TABLE``), ranks them by completion time, trains the first K to
+complete with one batched call that runs each client's local epoch of
+minibatch gradient descent, aggregates those K models into the global model,
+and feeds utility/duration feedback back to the metadata store. The
+simulated clock advances by the K-th completion time.
 
 Every random draw derives from (seed, round, purpose[, client]), so runs are
 reproducible across processes and thread counts, and a run resumed from a
@@ -217,25 +217,28 @@ class TrainingSession:
                      + self._model_bytes / clients[cid].bandwidth for cid in invited}
         ranked = sorted(invited, key=lambda c: (durations[c], c))
         completers = ranked[:self.k]
-        lr = self.learning_rate / (1.0 + round_index / self.lr_decay_rounds)
-        by_norms = self.config.utility_mode == "gradient_norm_batches"
-        models, utilities = [], []
-        for cid in completers:
-            client = clients[cid]
-            rng = np.random.default_rng(
-                [self.seed, round_index, _STREAM_LOCAL, self._index[cid]])
-            new_w, losses, batch_norms = model.local_epoch(
-                self.weights, client.features, client.labels, lr,
-                self.batch_size, rng)
-            models.append(new_w)
-            utilities.append(gradient_norm_utility(batch_norms) if by_norms
-                             else statistical_utility(losses))
 
         wall = 0.0
+        utilities: list[float] = []
         if completers:
+            shards = [clients[cid] for cid in completers]
+            sizes = [client.sample_count for client in shards]
+            rngs = [np.random.default_rng(
+                        [self.seed, round_index, _STREAM_LOCAL, self._index[cid]])
+                    for cid in completers]
+            lr = self.learning_rate / (1.0 + round_index / self.lr_decay_rounds)
+            models, losses, batch_norms = model.local_epoch(
+                self.weights, np.concatenate([c.features for c in shards]),
+                np.concatenate([c.labels for c in shards]), sizes, lr,
+                self.batch_size, rngs)
+            if self.config.utility_mode == "gradient_norm_batches":
+                utilities = [gradient_norm_utility(n) for n in batch_norms]
+            else:
+                utilities = [statistical_utility(part) for part in
+                             np.split(losses, np.cumsum(sizes)[:-1])]
             self.weights = np.einsum("i,ijk->jk",
                                      np.full(len(models), 1.0 / len(models)),
-                                     np.stack(models))
+                                     models)
             wall = durations[completers[-1]]
             self.store.update_with_feedback(
                 RoundFeedback(client_id=cid, agg_stat_value=u,

@@ -4,8 +4,43 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedsel import model
+from fedsel.experiments import (CANONICAL_K, canonical_population_spec,
+                                canonical_selector_config)
+from fedsel.simulation import TrainingSession
+from fedsel.workload import generate_population
+
+
+def reference_epoch(weights, features, labels, learning_rate, batch_size, rng):
+    """One client's epoch, as the per-client loop ``model.local_epoch`` replaced."""
+    n = labels.size
+    w = weights.copy()
+    losses = np.empty(n)
+    batch_sq_norms: list[float] = []
+    order = rng.permutation(n)
+    for start in range(0, n, batch_size):
+        idx = order[start:start + batch_size]
+        fx, fy = features[idx], labels[idx]
+        losses[idx] = model.per_sample_losses(w, fx, fy)
+        step = learning_rate * model.mean_loss_gradient(w, fx, fy)
+        w -= step
+        batch_sq_norms.append(float(np.sum(step * step)))
+    return w, losses, batch_sq_norms
+
+
+def reference_local_epoch(weights, features, labels, sizes, learning_rate,
+                          batch_size, rngs):
+    """``model.local_epoch`` built on the loop, one client after another."""
+    bounds = np.cumsum(sizes)[:-1]
+    runs = [reference_epoch(weights, fx, fy, learning_rate, batch_size, rng)
+            for fx, fy, rng in zip(np.split(features, bounds),
+                                   np.split(labels, bounds), rngs)]
+    return (np.stack([w for w, _, _ in runs]),
+            np.concatenate([losses for _, losses, _ in runs]),
+            [norms for _, _, norms in runs])
 
 
 def random_problem(rng, n=40, classes=4, dim=6):
@@ -48,9 +83,9 @@ def test_local_epoch_reduces_training_loss():
     for trial in range(5):
         weights, features, labels = random_problem(np.random.default_rng(trial))
         before = model.mean_loss(weights, features, labels)
-        new_w, _, _ = model.local_epoch(weights, features, labels,
-                                        learning_rate=0.05, batch_size=8,
-                                        rng=rng)
+        (new_w,), _, _ = model.local_epoch(weights, features, labels,
+                                           [labels.size], learning_rate=0.05,
+                                           batch_size=8, rngs=[rng])
         after = model.mean_loss(new_w, features, labels)
         assert after <= before * (1 + 1e-6)
 
@@ -58,9 +93,9 @@ def test_local_epoch_reduces_training_loss():
 def test_local_epoch_reports_batch_norms_and_losses():
     rng = np.random.default_rng(3)
     weights, features, labels = random_problem(rng, n=20)
-    new_w, losses, norms = model.local_epoch(weights, features, labels,
-                                             learning_rate=0.1, batch_size=8,
-                                             rng=np.random.default_rng(0))
+    (new_w,), losses, (norms,) = model.local_epoch(
+        weights, features, labels, [20], learning_rate=0.1, batch_size=8,
+        rngs=[np.random.default_rng(0)])
     assert losses.shape == (20,)
     assert len(norms) == 3  # ceil(20 / 8)
     assert all(v >= 0 for v in norms)
@@ -70,12 +105,100 @@ def test_local_epoch_reports_batch_norms_and_losses():
 def test_local_epoch_deterministic_in_rng():
     rng_data = np.random.default_rng(4)
     weights, features, labels = random_problem(rng_data)
-    a = model.local_epoch(weights, features, labels, 0.05, 8,
-                          np.random.default_rng(9))
-    b = model.local_epoch(weights, features, labels, 0.05, 8,
-                          np.random.default_rng(9))
+    a = model.local_epoch(weights, features, labels, [labels.size], 0.05, 8,
+                          [np.random.default_rng(9)])
+    b = model.local_epoch(weights, features, labels, [labels.size], 0.05, 8,
+                          [np.random.default_rng(9)])
     assert np.array_equal(a[0], b[0])
     assert np.array_equal(a[1], b[1])
+
+
+def assert_close(actual, expected, rel=1e-12):
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.shape == expected.shape
+    scale = max(1.0, float(np.abs(expected).max(initial=0.0)))
+    assert float(np.abs(actual - expected).max(initial=0.0)) <= rel * scale
+
+
+@st.composite
+def ragged_groups(draw):
+    """A group of 1-8 shards of 1 to 3 batches, whole or partial."""
+    batch_size = draw(st.integers(1, 8))
+    shard = st.one_of(st.integers(1, 3 * batch_size),
+                      st.sampled_from([batch_size, 2 * batch_size, 3 * batch_size]))
+    sizes = draw(st.lists(shard, min_size=1, max_size=8))
+    return batch_size, sizes, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(ragged_groups())
+def test_local_epoch_matches_the_per_client_loop(group):
+    batch_size, sizes, seed = group
+    rng = np.random.default_rng(seed)
+    weights, features, labels = random_problem(rng, n=sum(sizes))
+    lr = float(rng.uniform(0.01, 0.5))
+
+    def rngs():
+        return [np.random.default_rng([seed, i]) for i in range(len(sizes))]
+
+    got_w, got_losses, got_norms = model.local_epoch(
+        weights, features, labels, sizes, lr, batch_size, rngs())
+    ref_w, ref_losses, ref_norms = reference_local_epoch(
+        weights, features, labels, sizes, lr, batch_size, rngs())
+    assert_close(got_w, ref_w)
+    assert_close(got_losses, ref_losses)
+    assert [len(n) for n in got_norms] == [-(-n // batch_size) for n in sizes]
+    for got, ref in zip(got_norms, ref_norms):
+        assert_close(got, ref)
+
+
+def _epoch_inputs(**changes):
+    rng = np.random.default_rng(7)
+    weights, features, labels = random_problem(rng, n=12)
+    args = dict(weights=weights, features=features, labels=labels,
+                sizes=[5, 7], learning_rate=0.1, batch_size=4,
+                rngs=[np.random.default_rng(0), np.random.default_rng(1)])
+    args.update(changes)
+    return args
+
+
+@pytest.mark.parametrize("changes", [
+    dict(learning_rate=float("nan")),
+    dict(learning_rate=float("inf")),
+    dict(learning_rate=0.0),
+    dict(learning_rate=-0.1),
+    dict(batch_size=0),
+    dict(batch_size=-3),
+    dict(labels=np.zeros(11, dtype=int), sizes=[5, 6]),
+    dict(sizes=[5, 6]),
+    dict(sizes=[5, 8]),
+    dict(sizes=[12, 0], rngs=[np.random.default_rng(0)] * 2),
+    dict(sizes=[13, -1]),
+    dict(sizes=[12], rngs=[np.random.default_rng(0)] * 2),
+    dict(rngs=[np.random.default_rng(0)]),
+    dict(labels=np.zeros(0, dtype=int), features=np.zeros((0, 6)), sizes=[],
+         rngs=[]),
+    dict(sizes=[5.0, 7.0]),
+], ids=["nan_lr", "inf_lr", "zero_lr", "negative_lr", "zero_batch",
+        "negative_batch", "rows_mismatch", "sizes_short", "sizes_long",
+        "empty_shard", "negative_shard", "too_many_rngs", "too_few_rngs",
+        "no_shards", "float_sizes"])
+def test_local_epoch_rejects_bad_input(changes):
+    with pytest.raises(ValueError):
+        model.local_epoch(**_epoch_inputs(**changes))
+
+
+def test_guided_trajectory_matches_the_per_client_loop(monkeypatch):
+    world = generate_population(canonical_population_spec(0))
+
+    def trajectory():
+        session = TrainingSession(world, "guided", canonical_selector_config(),
+                                  CANONICAL_K, seed=0)
+        return [(r.completers, r.accuracy) for r in session.run_rounds(30)]
+
+    batched = trajectory()
+    monkeypatch.setattr(model, "local_epoch", reference_local_epoch)
+    assert trajectory() == batched
 
 
 def test_uniform_average_is_arithmetic_mean():

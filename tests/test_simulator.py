@@ -134,8 +134,9 @@ def test_aggregation_is_mean_of_completer_models():
     for cid in result.completers:
         client = world.clients[cid]
         rng = np.random.default_rng([5, 1, 5, session._index[cid]])
-        new_w, _, _ = model.local_epoch(start, client.features, client.labels,
-                                        lr, session.batch_size, rng)
+        (new_w,), _, _ = model.local_epoch(start, client.features,
+                                           client.labels, [client.sample_count],
+                                           lr, session.batch_size, [rng])
         locals_.append(new_w)
     expected = np.stack(locals_).mean(axis=0)
     scale = max(1.0, np.abs(expected).max())
