@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 
 from fedsel.errors import CheckpointError, StaleFeedbackError, UnknownClientError
@@ -290,6 +292,70 @@ def test_checkpoint_save_load_save_is_byte_identical(tmp_path):
     assert payload["version"] == "fedsel-metastore-v1"
     assert [r["client_id"] for r in payload["records"]] == ["a", "b", "c"]
     assert payload["records"][0]["speed_hint"] is None
+
+
+def saved_checkpoints_digest(tmp_path) -> tuple[str, int]:
+    """Fold the sha256 of every file a seeded autosaving run writes.
+
+    About 2000 clients, one in seven without a speed hint and a few whose
+    ids need JSON escaping, a low blacklist threshold, 30 feedback rounds
+    with an autosave every fifth round, clients registered after a save,
+    and at round 15 a load of the autosaved file into a fresh store that
+    carries on in place of the first.
+    """
+    rng = np.random.default_rng([2024, 8])
+    path = tmp_path / "auto.json"
+
+    def autosaving() -> MetaStore:
+        return MetaStore(preferred_duration=10.0, clip_percentile=90.0,
+                         blacklist_threshold=3, checkpoint_every=5,
+                         checkpoint_path=str(path))
+
+    def register(s: MetaStore, new_ids: list[str]) -> None:
+        for cid in new_ids:
+            hint = (None if rng.random() < 1 / 7
+                    else float(rng.lognormal(0.0, 0.8)))
+            s.register_client(cid, speed_hint=hint)
+        ids.extend(new_ids)
+
+    s = autosaving()
+    ids: list[str] = []
+    register(s, [f"c{i:04d}" for i in range(1990)]
+             + ['q"uote', "back\\slash", "caf\u00e9", "\u2603", "tab\there",
+                "", " lead", "z" * 40, "c0000 ", "\x7f"])
+    digest, saves = hashlib.sha256(), 0
+    for _ in range(30):
+        r = s.advance_round()
+        if r % 5 == 0:
+            digest.update(hashlib.sha256(path.read_bytes()).digest())
+            saves += 1
+        if r == 15:
+            s = autosaving()
+            s.load(str(path))
+        if r in (6, 21):
+            register(s, [f"late{r}-{j}" for j in range(25)])
+        if r % 8 == 0:
+            s.set_preferred_duration(s.preferred_duration * 1.1)
+        picks = rng.choice(len(ids), size=200, replace=False)
+        scale = 10.0 ** rng.integers(-18, 18, picks.size)
+        values = np.where(rng.random(picks.size) < 0.05, 0.0,
+                          rng.uniform(0.0, 50.0, picks.size) * scale)
+        durations = rng.lognormal(2.0, 1.0, picks.size)
+        s.update_with_feedback(
+            RoundFeedback(ids[i], float(v), float(d), r)
+            for i, v, d in zip(picks.tolist(), values, durations))
+    s.save(str(path))
+    digest.update(hashlib.sha256(path.read_bytes()).digest())
+    return digest.hexdigest(), saves + 1
+
+
+def test_golden_saved_checkpoint_digest(tmp_path):
+    # Recorded before save learned to re-render only changed rows; it pins
+    # the checkpoint bytes of every save, not only of the final state.
+    digest, saves = saved_checkpoints_digest(tmp_path)
+    assert saves == 7
+    assert digest == (
+        "0fc93a5e14ff8374c522b814f30b8383bdae718d7d0c9577968c36cac8f182c2")
 
 
 # -- views ------------------------------------------------------------------------
