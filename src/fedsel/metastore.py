@@ -5,7 +5,8 @@ store keeps one numpy column per field, indexed by a stable client slot, so a
 client costs a constant handful of values no matter how many rounds it has
 participated in. Selectors read immutable snapshot views made of read-only
 column copies; the whole store can be checkpointed to a versioned JSON file
-and restored bit-identically.
+and restored bit-identically. A store that saves keeps each row's JSON text
+between saves and renders again only the rows written since the last one.
 """
 
 from __future__ import annotations
@@ -206,6 +207,14 @@ def _json_tokens(col: np.ndarray) -> list[str]:
     return json.dumps(col.tolist(), separators=(",", ":"))[1:-1].split(",")
 
 
+def _render_rows(ids: Sequence[str], cols: Sequence[np.ndarray]) -> list[str]:
+    """The v1 JSON text of each record; ``cols`` are in ``_COLUMNS`` order."""
+    hints, *rest = map(_json_tokens, cols)
+    hints = ["null" if h == "NaN" else h for h in hints]
+    return list(map(_RECORD_FORMAT.__mod__, zip(
+        map(encode_basestring_ascii, ids), hints, *rest)))
+
+
 def _decode_table(rows: object) -> ClientTable:
     """Typed decoding of the checkpoint's record list into columns."""
     if not isinstance(rows, list):
@@ -294,21 +303,20 @@ class Checkpoint:
     def records(self) -> tuple[ClientRecord, ...]:
         return tuple(self.table.record(i) for i in range(len(self.table)))
 
-    def to_json(self) -> str:
+    def _head(self) -> str:
+        """The JSON text before the first record."""
         head = json.dumps({
             "version": self.version,
             "round_index": self.round_index,
             "preferred_duration": self.preferred_duration,
             "utility_history": list(self.utility_history),
         }, separators=(",", ":"))
+        return f'{head[:-1]},"records":['
+
+    def to_json(self) -> str:
         t = self.table
-        hints = ["null" if h == "NaN" else h for h in _json_tokens(t.speed_hint)]
-        rows = ",".join(map(_RECORD_FORMAT.__mod__, zip(
-            map(encode_basestring_ascii, t.ids), hints,
-            _json_tokens(t.stat_utility), _json_tokens(t.last_round),
-            _json_tokens(t.duration), _json_tokens(t.times_selected),
-            _json_tokens(t.blacklisted), _json_tokens(t.explored))))
-        return f'{head[:-1]},"records":[{rows}]}}'
+        rows = _render_rows(t.ids, [getattr(t, name) for name, _ in _COLUMNS])
+        return f'{self._head()}{",".join(rows)}]}}'
 
     @classmethod
     def from_json(cls, text: str) -> "Checkpoint":
@@ -357,6 +365,10 @@ class MetaStore:
         # Rows past len(self._ids) stay zero until a client registers there.
         self._cols = {name: np.zeros(_MIN_CAPACITY, dtype)
                       for name, dtype in _COLUMNS}
+        # Rows whose JSON text in _row_text is current; kept out of _cols so
+        # views never see it. The text list is made by the first save.
+        self._rendered = np.zeros(_MIN_CAPACITY, np.bool_)
+        self._row_text: list[str] | None = None
         # (ids, slots, order) shared by views; rebuilt after a registration.
         self._frozen: tuple[tuple[str, ...], Mapping[str, int],
                             np.ndarray] | None = None
@@ -372,6 +384,9 @@ class MetaStore:
 
     def register_client(self, client_id: str, speed_hint: float | None = None) -> None:
         """Clients must be registered before any feedback is accepted."""
+        if type(client_id) is not str:
+            raise TypeError(
+                f"client_id must be a str, got {type(client_id).__name__}")
         if speed_hint is not None and not (math.isfinite(speed_hint)
                                            and speed_hint > 0):
             raise ValueError("speed_hint must be finite and > 0 when given")
@@ -388,10 +403,13 @@ class MetaStore:
             self._frozen = None
 
     def _grow(self, capacity: int) -> None:
-        for name, col in self._cols.items():
+        def grown(col: np.ndarray) -> np.ndarray:
             bigger = np.zeros(capacity, col.dtype)
             bigger[:len(col)] = col
-            self._cols[name] = bigger
+            return bigger
+
+        self._cols = {name: grown(col) for name, col in self._cols.items()}
+        self._rendered = grown(self._rendered)
 
     def advance_round(self) -> int:
         """Open the next round; returns its index (1-based)."""
@@ -449,7 +467,8 @@ class MetaStore:
                 row = self._slots.get(fb.client_id)
                 if row is None:
                     raise UnknownClientError(fb.client_id)
-                if fb.round_index != self._round or fb.client_id in seen:
+                if (fb.round_index != self._round or self._round == 0
+                        or fb.client_id in seen):
                     raise StaleFeedbackError(fb.client_id, fb.round_index, self._round)
                 if explored[row] and last_round[row] >= fb.round_index:
                     raise StaleFeedbackError(fb.client_id, fb.round_index, self._round)
@@ -478,6 +497,7 @@ class MetaStore:
             times[rows] += 1
             explored[rows] = True
             cols["blacklisted"][rows] |= times[rows] >= self.blacklist_threshold
+            self._rendered[rows] = False
             # Summed in feedback order, so the history is bit-reproducible.
             achieved = 0.0
             for v in kept.tolist():
@@ -510,18 +530,21 @@ class MetaStore:
 
     def snapshot(self) -> Checkpoint:
         with self._lock:
-            n = len(self._ids)
-            ids, _, order = self._index()
-            table = ClientTable(tuple(map(ids.__getitem__, order.tolist())),
-                                **{name: col[:n][order]
-                                   for name, col in self._cols.items()})
-            return Checkpoint(
-                version=CHECKPOINT_VERSION,
-                round_index=self._round,
-                preferred_duration=self._preferred_duration,
-                utility_history=tuple(self._utility_history),
-                table=table,
-            )
+            return self._snapshot()
+
+    def _snapshot(self) -> Checkpoint:
+        n = len(self._ids)
+        ids, _, order = self._index()
+        table = ClientTable(tuple(map(ids.__getitem__, order.tolist())),
+                            **{name: col[:n][order]
+                               for name, col in self._cols.items()})
+        return Checkpoint(
+            version=CHECKPOINT_VERSION,
+            round_index=self._round,
+            preferred_duration=self._preferred_duration,
+            utility_history=tuple(self._utility_history),
+            table=table,
+        )
 
     def restore(self, checkpoint: Checkpoint) -> None:
         """Replace all in-memory state from a (validated) checkpoint."""
@@ -537,18 +560,39 @@ class MetaStore:
             self._ids = list(table.ids)
             self._slots = {cid: i for i, cid in enumerate(table.ids)}
             self._cols = cols
+            self._rendered = np.zeros(len(cols["explored"]), np.bool_)
+            self._row_text = None
             self._frozen = None
             self._round = checkpoint.round_index
             self._preferred_duration = checkpoint.preferred_duration
             self._utility_history = list(checkpoint.utility_history)
 
     def save(self, path: str) -> None:
-        """Write the current snapshot atomically."""
-        text = self.snapshot().to_json()
-        tmp = f"{path}.tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
+        """Write ``snapshot().to_json()`` atomically.
+
+        Each row's text is kept between saves, so only the rows registered
+        or written since the last save are rendered again.
+        """
+        with self._lock:
+            head = self._snapshot()._head()
+            n = len(self._ids)
+            if self._row_text is None:
+                self._row_text = []
+            text = self._row_text
+            text.extend([""] * (n - len(text)))
+            stale = np.flatnonzero(~self._rendered[:n])
+            fresh = _render_rows([self._ids[i] for i in stale.tolist()],
+                                 [self._cols[name][stale] for name, _ in _COLUMNS])
+            for row, line in zip(stale.tolist(), fresh):
+                text[row] = line
+            self._rendered[stale] = True
+            _, _, order = self._index()
+            tmp = f"{path}.tmp"
+            with open(tmp, "w", encoding="utf-8") as fh:
+                fh.write(head)
+                fh.write(",".join(map(text.__getitem__, order.tolist())))
+                fh.write("]}")
+            os.replace(tmp, path)
 
     def load(self, path: str) -> None:
         try:

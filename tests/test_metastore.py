@@ -6,10 +6,15 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fedsel import metastore
 from fedsel.errors import CheckpointError, StaleFeedbackError, UnknownClientError
 from fedsel.metastore import Checkpoint, MetaStore, RoundFeedback
 from fedsel.training import SelectorConfig, TrainingSelector
@@ -139,6 +144,30 @@ def test_duplicate_registration_rejected():
     s.register_client("a")
     with pytest.raises(ValueError):
         s.register_client("a")
+
+
+@pytest.mark.parametrize("client_id", [5, b"a", None, 1.5], ids=repr)
+def test_non_str_client_id_rejected_and_store_untouched(tmp_path, client_id):
+    path = tmp_path / "auto.json"
+    s = MetaStore(preferred_duration=10.0, checkpoint_every=1,
+                  checkpoint_path=str(path))
+    s.register_client("a")
+    before = s.snapshot()
+    with pytest.raises(TypeError):
+        s.register_client(client_id)
+    assert s.client_count == 1 and s.client_ids() == ["a"]
+    assert s.snapshot() == before
+    assert s.advance_round() == 1
+    assert Checkpoint.from_json(path.read_text()).round_index == 1
+
+
+def test_feedback_before_the_first_round_rejected_and_store_untouched():
+    s = store()
+    s.register_client("a")
+    before = s.snapshot()
+    with pytest.raises(StaleFeedbackError):
+        s.update_with_feedback([RoundFeedback("a", 1.0, 1.0, 0)])
+    assert s.snapshot() == before
 
 
 # -- checkpointing ---------------------------------------------------------------
@@ -356,6 +385,99 @@ def test_golden_saved_checkpoint_digest(tmp_path):
     assert saves == 7
     assert digest == (
         "0fc93a5e14ff8374c522b814f30b8383bdae718d7d0c9577968c36cac8f182c2")
+
+
+def test_save_renders_only_rows_written_since_the_last_save(tmp_path, monkeypatch):
+    rendered = []
+
+    def counting(ids, cols):
+        rendered.append(len(ids))
+        return render(ids, cols)
+
+    render = metastore._render_rows
+    monkeypatch.setattr(metastore, "_render_rows", counting)
+    s = store()
+    for i in range(6):
+        s.register_client(f"c{i}", speed_hint=None if i % 2 else 1.0 + i)
+    path = tmp_path / "cp.json"
+
+    def saved_rows() -> int:
+        rendered.clear()
+        s.save(str(path))
+        count = sum(rendered)
+        assert path.read_bytes() == s.snapshot().to_json().encode()
+        return count
+
+    assert saved_rows() == 6
+    assert saved_rows() == 0
+    feed(s, ("c1", 2.0, 3.0), ("c4", 1.0, 2.0))
+    s.register_client("b")
+    s.set_preferred_duration(11.0)
+    assert saved_rows() == 3
+    s.restore(s.snapshot())
+    assert saved_rows() == 7
+
+
+# Random interleavings of every store operation; after each save the file is
+# compared with the full renderer in Checkpoint.to_json.
+_STORE_OPS = st.lists(st.one_of(
+    st.tuples(st.just("register"), st.text("ab\"\\\u00e9\u2603", max_size=3),
+              st.none() | st.floats(1e-3, 1e3)),
+    st.tuples(st.just("feedback"), st.lists(st.tuples(
+        st.integers(0, 40), st.floats(0.0, 1e12), st.floats(1e-3, 1e3)),
+        max_size=6)),
+    st.tuples(st.just("advance")),
+    st.tuples(st.just("prefer"), st.floats(1.0, 2.0)),
+    st.tuples(st.just("restore"), st.integers(0, 20)),
+    st.tuples(st.just("load")),
+    st.tuples(st.just("save")),
+), max_size=40)
+
+
+def assert_saved_file_matches(s: MetaStore, path: str) -> None:
+    with open(path, "rb") as fh:
+        assert fh.read() == s.snapshot().to_json().encode()
+    fresh = store()
+    fresh.load(path)
+    assert fresh.snapshot() == s.snapshot()
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=_STORE_OPS)
+def test_incremental_save_matches_the_full_renderer(ops):
+    with tempfile.TemporaryDirectory() as tmp:
+        auto, path = os.path.join(tmp, "auto.json"), os.path.join(tmp, "cp.json")
+        s = store(blacklist_threshold=2, checkpoint_every=2, checkpoint_path=auto)
+        snapshots = [s.snapshot()]
+        for op, *args in ops:
+            if op == "register":
+                cid, hint = args
+                if cid not in s.view().slots:
+                    s.register_client(cid, speed_hint=hint)
+            elif op == "feedback" and s.round_index > 0:
+                view = s.view()
+                open_ids = [cid for cid in sorted(view.slots)
+                            if view.table.last_round[view.slots[cid]] < s.round_index
+                            or not view.table.explored[view.slots[cid]]]
+                batch = {open_ids[i % len(open_ids)]: (u, d)
+                         for i, u, d in args[0]} if open_ids else {}
+                s.update_with_feedback(RoundFeedback(cid, u, d, s.round_index)
+                                       for cid, (u, d) in batch.items())
+            elif op == "advance":
+                if s.advance_round() % 2 == 0:
+                    assert_saved_file_matches(s, auto)
+            elif op == "prefer":
+                s.set_preferred_duration(s.preferred_duration * args[0])
+            elif op == "restore":
+                s.restore(snapshots[args[0] % len(snapshots)])
+            elif op == "load" and os.path.exists(path):
+                s.load(path)
+            elif op == "save":
+                s.save(path)
+                assert_saved_file_matches(s, path)
+            snapshots.append(s.snapshot())
+        s.save(path)
+        assert_saved_file_matches(s, path)
 
 
 # -- views ------------------------------------------------------------------------
