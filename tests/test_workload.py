@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from fedsel.errors import TraceParseError
+from fedsel.experiments import canonical_population_spec
+from fedsel.simulation import corrupt_clients
 from fedsel.workload import (PopulationSpec, apply_trace, client_ids_for,
                              generate_population, load_trace,
                              pairwise_l1_divergence, sample_count_cdf)
@@ -200,3 +203,78 @@ def test_trace_overlay_matches_empirical_cdf(tmp_path):
     apply_trace(world, load_trace(write_trace(tmp_path, rows)))
     observed = sorted(world.clients[cid].compute_latency for cid in ids)
     assert observed == sorted(expected)
+
+
+# -- golden world digests --------------------------------------------------------
+
+
+def world_digest(world) -> str:
+    """Fold the ids, every shard's labels and features, the capacity columns,
+    the corruption flags and the test set, in id order, into one digest."""
+    ids = world.client_ids()
+    clients = [world.clients[cid] for cid in ids]
+    digest = hashlib.sha256(repr(ids).encode())
+    for client in clients:
+        digest.update(client.labels.tobytes())
+        digest.update(client.features.tobytes())
+    for name in ("compute_latency", "bandwidth", "availability", "corrupted"):
+        digest.update(np.array([getattr(c, name) for c in clients]).tobytes())
+    digest.update(world.test_features.tobytes())
+    digest.update(world.test_labels.tobytes())
+    return digest.hexdigest()
+
+
+def shifted_small_spec() -> PopulationSpec:
+    """The simulator tests' small population, with coupled client shift."""
+    return spec(client_count=40, class_count=4, feature_dim=6,
+                label_concentration=0.5, sample_exponent=1.8, sample_min=10,
+                sample_max=60, latency_log_mu=math.log(0.05),
+                latency_log_sigma=0.8, bandwidth_log_mu=math.log(1e4),
+                bandwidth_log_sigma=0.5, availability_min=0.9,
+                availability_max=1.0, seed=3, test_samples=300,
+                client_shift=1.5, shift_latency_coupling=-0.6)
+
+
+def _traced(world, tmp_path):
+    ids = world.client_ids()
+    path = write_trace(tmp_path,
+                       "client_id\tcompute_latency\tbandwidth\tavailability\n"
+                       f"{ids[3]}\t0.25\t777\t0.5\n"
+                       "stranger\t1.0\t5000\t1.0\n"
+                       f"{ids[0]}\t2.5\t1e5\t1.0\n")
+    assert apply_trace(world, load_trace(path)) == ["stranger"]
+
+
+WORLD_CASES = {
+    "canonical_seed1": (lambda: canonical_population_spec(1), None),
+    "small_shifted": (shifted_small_spec, None),
+    "small_corrupt_fraction": (
+        shifted_small_spec,
+        lambda w, _: corrupt_clients(w, fraction=0.3, seed=5)),
+    "small_corrupt_flip_rate": (
+        shifted_small_spec,
+        lambda w, _: corrupt_clients(w, flip_rate=0.25, seed=6)),
+    "small_trace": (shifted_small_spec, _traced),
+}
+
+GOLDEN_WORLD_DIGESTS = {
+    "canonical_seed1":
+        "d764bf895a0aee3bd0e3b620474dec3c61ab51030780bf35d65c1340dfaafde3",
+    "small_corrupt_flip_rate":
+        "30979ebb3241eb4cca0592c306792fb6204b727f2f220932e2503a345765124d",
+    "small_corrupt_fraction":
+        "0fa9fba5223d5c5e8e4662d75661aa858a707afcce36eef5777ee917466c7bcb",
+    "small_shifted":
+        "6614c27d158e5442951f741056505483e021bc46a955a13c162532858b42041d",
+    "small_trace":
+        "6a3460c990de8978137acef7e8a2ca747759fc82f6ab4539b63b7d8a8f8c9d38",
+}
+
+
+@pytest.mark.parametrize("case", sorted(WORLD_CASES))
+def test_golden_world_digest(case, tmp_path):
+    make_spec, mutate = WORLD_CASES[case]
+    world = generate_population(make_spec())
+    if mutate is not None:
+        mutate(world, tmp_path)
+    assert world_digest(world) == GOLDEN_WORLD_DIGESTS[case]
