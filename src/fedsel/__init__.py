@@ -2,7 +2,8 @@
 
 from .errors import (BudgetExceededError, CheckpointError, EmptySelectionError,
                      FedselError, InfeasibleQueryError, SizeGuardError,
-                     StaleFeedbackError, TraceParseError, UnknownClientError)
+                     StaleFeedbackError, TableParseError, TraceParseError,
+                     UnknownClientError)
 from .metastore import Checkpoint, ClientRecord, MetaStore, RoundFeedback, StoreView
 from .testing import (Assignment, DeviationQuery, DistributionQuery,
                       compile_representative_preference, duration_of,
@@ -15,7 +16,7 @@ from .training import (SelectorConfig, TrainingSelector, UtilityBreakdown,
                        staleness_bonus, statistical_utility, system_penalty)
 from .simulation import (POLICIES, RoundResult, TrainingSession, TrainRecord,
                          corrupt_clients, fairness_metrics)
-from .workload import (PopulationSpec, SimClient, SimWorld, apply_trace,
+from .workload import (PopulationSpec, SimWorld, apply_trace,
                        generate_population, load_trace)
 
 __all__ = [
@@ -23,8 +24,8 @@ __all__ = [
     "ClientRecord", "DeviationQuery", "DistributionQuery",
     "EmptySelectionError", "FedselError", "InfeasibleQueryError", "MetaStore",
     "POLICIES", "PopulationSpec", "RoundFeedback", "RoundResult",
-    "SelectorConfig", "SimClient", "SimWorld", "SizeGuardError",
-    "StaleFeedbackError", "StoreView", "TraceParseError", "TrainRecord",
+    "SelectorConfig", "SimWorld", "SizeGuardError", "StaleFeedbackError",
+    "StoreView", "TableParseError", "TraceParseError", "TrainRecord",
     "TrainingSelector", "TrainingSession", "UnknownClientError",
     "UtilityBreakdown", "apply_trace", "clip_cap",
     "compile_representative_preference", "corrupt_clients", "duration_of",

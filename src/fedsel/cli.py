@@ -17,8 +17,7 @@ import click
 import numpy as np
 
 from . import testing
-from .errors import (BudgetExceededError, InfeasibleQueryError, SizeGuardError,
-                     TraceParseError)
+from .errors import BudgetExceededError, InfeasibleQueryError, SizeGuardError
 from .experiments import summarize, write_summary_table
 from .simulation import POLICIES, TrainingSession, write_metrics_table
 from .training import SelectorConfig
@@ -66,7 +65,7 @@ def simulate_train(config_path, policies, seeds, k, target, out_dir, verbose):
         specs = {seed: PopulationSpec.from_dict({**cfg["population"], "seed": seed})
                  for seed in seeds}
         trace = load_trace(cfg["trace_path"]) if cfg.get("trace_path") else []
-    except (TypeError, ValueError, TraceParseError, OSError) as exc:
+    except (TypeError, ValueError, OSError) as exc:
         raise click.UsageError(f"bad run config: {exc}") from exc
 
     out = Path(out_dir)
@@ -135,11 +134,14 @@ def estimate_count(epsilon, delta, population, range_min, range_max, trials, see
 @click.option("--exact", is_flag=True, help="Also solve with the exact oracle.")
 def compose_testset(query_path, capacities_path, clients_path, out_path, exact):
     """Pick participants and per-category sample counts for a testing query."""
-    with open(query_path, "r", encoding="utf-8") as fh:
-        descriptor = json.load(fh)
-    ids, caps = testing.read_capacity_file(capacities_path)
-    table = testing.read_client_table(clients_path) if clients_path else None
-    query = testing.load_distribution_query(descriptor, ids, caps, table)
+    try:
+        with open(query_path, "r", encoding="utf-8") as fh:
+            descriptor = json.load(fh)
+        ids, caps = testing.read_capacity_file(capacities_path)
+        table = testing.read_client_table(clients_path) if clients_path else None
+        query = testing.load_distribution_query(descriptor, ids, caps, table)
+    except (TypeError, ValueError) as exc:
+        raise click.UsageError(f"bad testing query: {exc}") from exc
 
     start = time.perf_counter()
     try:

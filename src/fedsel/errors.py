@@ -1,4 +1,4 @@
-"""Exception types and the finite-number check shared across the package."""
+"""Exception types and the input checks shared across the package."""
 
 from __future__ import annotations
 
@@ -70,11 +70,45 @@ class SizeGuardError(FedselError):
     """The exact solver refused an instance above its size guard."""
 
 
-class TraceParseError(FedselError):
-    """A device-trace file row could not be parsed or validated."""
+class TableParseError(FedselError, ValueError):
+    """A row of an input table could not be parsed or validated."""
 
     def __init__(self, path: str, line_no: int, reason: str):
         super().__init__(f"{path}:{line_no}: {reason}")
         self.path = path
         self.line_no = line_no
         self.reason = reason
+
+
+class TraceParseError(TableParseError):
+    """A device-trace file row could not be parsed or validated."""
+
+
+def read_table(path: str, columns: tuple[str, ...], kind: type = float,
+               error: type[TableParseError] = TableParseError,
+               ) -> list[tuple[int, str, list]]:
+    """Line number, id and finite ``kind`` values of each non-blank row of a
+    tab- or comma-separated table with header ``columns``, id column first.
+    An empty file has no rows; a bad header, cell count or number raises."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    if not lines:
+        return []
+    sep = "\t" if "\t" in lines[0] else ","
+    if tuple(col.strip() for col in lines[0].split(sep)) != columns:
+        raise error(path, 1, f"expected header {','.join(columns)}")
+    rows = []
+    for line_no, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        cells = [cell.strip() for cell in line.split(sep)]
+        if len(cells) != len(columns):
+            raise error(path, line_no,
+                        f"expected {len(columns)} columns, got {len(cells)}")
+        try:
+            values = [kind(cell) for cell in cells[1:]]
+            require_finite(**dict(zip(columns[1:], values)))
+        except ValueError as exc:
+            raise error(path, line_no, f"bad number: {exc}") from exc
+        rows.append((line_no, cells[0], values))
+    return rows

@@ -147,12 +147,9 @@ class TrainingSession:
         self.store = MetaStore(preferred_duration=config.pacer_step,
                                clip_percentile=config.clip_percentile,
                                blacklist_threshold=config.blacklist_threshold)
-        self._ids = world.client_ids()
-        self._index = {cid: i for i, cid in enumerate(self._ids)}
-        for cid in self._ids:
-            hint = (1.0 / world.clients[cid].compute_latency
-                    if rules.speed_hints else None)
-            self.store.register_client(cid, speed_hint=hint)
+        hints = (1.0 / world.compute_latency).tolist()
+        for cid, hint in zip(world.ids.tolist(), hints):
+            self.store.register_client(cid, hint if rules.speed_hints else None)
 
         self.selector = TrainingSelector(config, seed=seed,
                                          metrics_sink=metrics_sink)
@@ -163,27 +160,29 @@ class TrainingSession:
 
     # -- invitation ----------------------------------------------------------
 
-    def _available_clients(self, round_index: int) -> list[str]:
+    def _available_rows(self, round_index: int) -> np.ndarray:
         rng = np.random.default_rng([self.seed, round_index, _STREAM_AVAILABILITY])
-        draws = rng.random(len(self._ids))
-        return [cid for cid, u in zip(self._ids, draws)
-                if u < self.world.clients[cid].availability]
+        return np.flatnonzero(rng.random(len(self.world.ids))
+                              < self.world.availability)
 
-    def _invite(self, round_index: int, available: list[str]) -> list[str]:
-        if not available:
-            return []
+    def _available_clients(self, round_index: int) -> list[str]:
+        return self.world.ids[self._available_rows(round_index)].tolist()
+
+    def _invite(self, round_index: int, available: np.ndarray) -> np.ndarray:
+        """Rows of the invited clients."""
+        if not available.size:
+            return available
         if self.rules.invite == "fastest":
-            ranked = sorted(available,
-                            key=lambda c: (self.world.clients[c].compute_latency, c))
-            return ranked[:self._want]
+            latency = self.world.compute_latency[available]
+            return available[np.lexsort((available, latency))[:self._want]]
         if self.rules.invite == "selector":
             return self._select(round_index, available)
         rng = np.random.default_rng([self.seed, round_index, _STREAM_POLICY])
         picks = rng.choice(len(available), size=min(self._want, len(available)),
                            replace=False)
-        return [available[i] for i in picks]
+        return available[picks]
 
-    def _select(self, round_index: int, available: list[str]) -> list[str]:
+    def _select(self, round_index: int, available: np.ndarray) -> np.ndarray:
         view = self.store.view()
         if self.rules.pacer:
             new_t = scheduled_pacer_tick(
@@ -195,41 +194,47 @@ class TrainingSession:
                 view = self.store.view()
         try:
             selected, _ = self.selector.select_participants(
-                view, self._want, round_index, candidates=available)
+                view, self._want, round_index,
+                candidates=self.world.ids[available].tolist())
         except EmptySelectionError:
             logger.warning("round %d: no feasible clients, idle round", round_index)
-            return []
-        return selected
+            return available[:0]
+        return np.searchsorted(self.world.ids, selected)
 
     # -- round execution -----------------------------------------------------
 
     def run_round(self) -> RoundResult:
         round_index = self.store.advance_round()
-        invited = self._invite(round_index, self._available_clients(round_index))
+        invited = self._invite(round_index, self._available_rows(round_index))
         if len(invited) < self._want:
             logger.debug("round %d: only %d clients invited", round_index,
                          len(invited))
 
         # Completion order depends on the system trace alone, never on the
-        # training, so only the first K to finish are trained.
-        clients = self.world.clients
-        durations = {cid: clients[cid].sample_count * clients[cid].compute_latency
-                     + self._model_bytes / clients[cid].bandwidth for cid in invited}
-        ranked = sorted(invited, key=lambda c: (durations[c], c))
+        # training, so only the first K to finish are trained. Rows are in
+        # id order, so the row breaks ties in duration by client id.
+        world = self.world
+        counts = world.sample_counts[invited]
+        durations = (counts * world.compute_latency[invited]
+                     + self._model_bytes / world.bandwidth[invited])
+        order = np.lexsort((invited, durations))
+        ranked = world.ids[invited[order]].tolist()
         completers = ranked[:self.k]
+        first = order[:self.k]
+        rows, sizes, kept = (col[first].tolist()
+                             for col in (invited, counts, durations))
 
         wall = 0.0
         utilities: list[float] = []
         if completers:
-            shards = [clients[cid] for cid in completers]
-            sizes = [client.sample_count for client in shards]
+            shards = [world.shard(row) for row in rows]
             rngs = [np.random.default_rng(
-                        [self.seed, round_index, _STREAM_LOCAL, self._index[cid]])
-                    for cid in completers]
+                        [self.seed, round_index, _STREAM_LOCAL, row])
+                    for row in rows]
             lr = self.learning_rate / (1.0 + round_index / self.lr_decay_rounds)
             models, losses, batch_norms = model.local_epoch(
-                self.weights, np.concatenate([c.features for c in shards]),
-                np.concatenate([c.labels for c in shards]), sizes, lr,
+                self.weights, np.concatenate([f for f, _ in shards]),
+                np.concatenate([y for _, y in shards]), sizes, lr,
                 self.batch_size, rngs)
             if self.config.utility_mode == "gradient_norm_batches":
                 utilities = [gradient_norm_utility(n) for n in batch_norms]
@@ -239,11 +244,11 @@ class TrainingSession:
             self.weights = np.einsum("i,ijk->jk",
                                      np.full(len(models), 1.0 / len(models)),
                                      models)
-            wall = durations[completers[-1]]
+            wall = kept[-1]
             self.store.update_with_feedback(
                 RoundFeedback(client_id=cid, agg_stat_value=u,
-                              wall_duration=durations[cid], round_index=round_index)
-                for cid, u in zip(completers, utilities))
+                              wall_duration=d, round_index=round_index)
+                for cid, u, d in zip(completers, utilities, kept))
         self.wall_clock += wall
         self.selection_history.append(tuple(completers))
 
@@ -254,7 +259,7 @@ class TrainingSession:
             invited=tuple(ranked),
             completers=tuple(completers),
             utilities=tuple(utilities),
-            durations=tuple(durations[cid] for cid in completers),
+            durations=tuple(kept),
             wall_time=wall,
             accuracy=acc,
             preferred_duration=self.store.preferred_duration,
@@ -318,30 +323,28 @@ def corrupt_clients(world: SimWorld, fraction: float | None = None,
         raise ValueError("give exactly one of fraction or flip_rate")
     rng = np.random.default_rng(seed)
     c = world.class_count
-    ids = world.client_ids()
+    n = len(world.ids)
     if fraction is not None:
         if not 0.0 <= fraction <= 1.0:
             raise ValueError("fraction must be in [0, 1]")
-        n_bad = int(round(fraction * len(ids)))
-        bad = rng.choice(len(ids), size=n_bad, replace=False)
-        for i in bad:
-            client = world.clients[ids[i]]
-            client.labels = _flip_labels(rng, client.labels, c)
-            client.corrupted = True
+        bad = rng.choice(n, size=int(round(fraction * n)), replace=False)
+        for row in bad:
+            _, labels = world.shard(row)
+            labels[:] = _flip_labels(rng, labels, c)
+        world.corrupted[bad] = True
         return
     if not 0.0 <= flip_rate <= 1.0:
         raise ValueError("flip_rate must be in [0, 1]")
     if flip_rate == 0.0:
         return
-    for cid in ids:
-        client = world.clients[cid]
-        n_flip = int(round(flip_rate * client.sample_count))
+    for row in range(n):
+        _, labels = world.shard(row)
+        n_flip = int(round(flip_rate * labels.size))
         if n_flip == 0:
             continue
-        idx = rng.choice(client.sample_count, size=n_flip, replace=False)
-        client.labels = client.labels.copy()
-        client.labels[idx] = _flip_labels(rng, client.labels[idx], c)
-        client.corrupted = True
+        idx = rng.choice(labels.size, size=n_flip, replace=False)
+        labels[idx] = _flip_labels(rng, labels[idx], c)
+        world.corrupted[row] = True
 
 
 def _flip_labels(rng: np.random.Generator, labels: np.ndarray,

@@ -18,7 +18,8 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_flow
 
-from .errors import BudgetExceededError, InfeasibleQueryError, SizeGuardError
+from .errors import (BudgetExceededError, InfeasibleQueryError, SizeGuardError,
+                     TableParseError, read_table)
 
 _BISECT_STEPS = 80
 
@@ -224,35 +225,26 @@ def compile_representative_preference(global_counts: Sequence[int],
 # -- query and assignment files ------------------------------------------------
 
 
+_CAPACITY_COLUMNS = ("client_id", "category", "count")
+_CLIENT_COLUMNS = ("client_id", "speed", "bandwidth", "transfer_bytes")
+
+
 def read_capacity_file(path: str) -> tuple[list[str], np.ndarray]:
     """Tabular capacity matrix: one (client_id, category, count) row per cell."""
     entries: dict[str, dict[int, int]] = {}
-    max_cat = -1
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ValueError(f"{path}: empty capacity file")
-    sep = "\t" if "\t" in lines[0] else ","
-    header = tuple(col.strip() for col in lines[0].split(sep))
-    if header != ("client_id", "category", "count"):
-        raise ValueError(f"{path}: expected header client_id,category,count")
-    for line_no, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = [p.strip() for p in line.split(sep)]
-        if len(parts) != 3:
-            raise ValueError(f"{path}:{line_no}: expected 3 columns")
-        cid, cat_s, count_s = parts
-        try:
-            cat, count = int(cat_s), int(count_s)
-        except ValueError as exc:
-            raise ValueError(f"{path}:{line_no}: bad integer: {exc}") from exc
+    rows = read_table(path, _CAPACITY_COLUMNS, kind=int)
+    if not rows:
+        raise TableParseError(path, 1, "no capacity rows")
+    for line_no, cid, (cat, count) in rows:
         if cat < 0 or count < 0:
-            raise ValueError(f"{path}:{line_no}: category and count must be >= 0")
-        entries.setdefault(cid, {})[cat] = count
-        max_cat = max(max_cat, cat)
+            raise TableParseError(path, line_no, "category and count must be >= 0")
+        if cat in entries.setdefault(cid, {}):
+            raise TableParseError(path, line_no,
+                                  f"duplicate row for {cid!r}, category {cat}")
+        entries[cid][cat] = count
     ids = sorted(entries)
-    caps = np.zeros((len(ids), max_cat + 1), dtype=np.int64)
+    caps = np.zeros((len(ids), 1 + max(max(e) for e in entries.values())),
+                    dtype=np.int64)
     for i, cid in enumerate(ids):
         for cat, count in entries[cid].items():
             caps[i, cat] = count
@@ -262,25 +254,13 @@ def read_capacity_file(path: str) -> tuple[list[str], np.ndarray]:
 def read_client_table(path: str) -> dict[str, tuple[float, float, float]]:
     """Per-client (speed, bandwidth, transfer_bytes) rows."""
     out: dict[str, tuple[float, float, float]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        return out
-    sep = "\t" if "\t" in lines[0] else ","
-    header = tuple(col.strip() for col in lines[0].split(sep))
-    if header != ("client_id", "speed", "bandwidth", "transfer_bytes"):
-        raise ValueError(
-            f"{path}: expected header client_id,speed,bandwidth,transfer_bytes")
-    for line_no, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = [p.strip() for p in line.split(sep)]
-        if len(parts) != 4:
-            raise ValueError(f"{path}:{line_no}: expected 4 columns")
-        try:
-            out[parts[0]] = (float(parts[1]), float(parts[2]), float(parts[3]))
-        except ValueError as exc:
-            raise ValueError(f"{path}:{line_no}: bad number: {exc}") from exc
+    for line_no, cid, values in read_table(path, _CLIENT_COLUMNS):
+        if min(values) < 0:
+            raise TableParseError(path, line_no, "speed, bandwidth and "
+                                                 "transfer_bytes must be >= 0")
+        if cid in out:
+            raise TableParseError(path, line_no, f"duplicate client_id {cid!r}")
+        out[cid] = tuple(values)
     return out
 
 

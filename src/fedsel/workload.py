@@ -9,12 +9,12 @@ plain tabular device trace.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Iterable
 
 import numpy as np
 
-from .errors import TraceParseError, require_finite
+from .errors import TraceParseError, read_table, require_finite
 
 
 @dataclass(frozen=True)
@@ -76,49 +76,54 @@ class PopulationSpec:
         return cls(**payload)
 
 
-@dataclass
-class SimClient:
-    """One emulated client: its data shard plus system capacities."""
+@dataclass(eq=False)
+class SimWorld:
+    """The emulated population as per-client columns, plus a held-out test set.
 
-    client_id: str
+    Row i is client ``ids[i]``, rows in client-id order; its shard is rows
+    ``offsets[i]:offsets[i + 1]`` of ``features`` and ``labels``. Capacities
+    are seconds per sample, bytes per second and the chance of being online.
+    """
+
+    ids: np.ndarray
+    offsets: np.ndarray
     features: np.ndarray
     labels: np.ndarray
-    compute_latency: float  # seconds per sample
-    bandwidth: float        # bytes per second
-    availability: float
-    corrupted: bool = False
-
-    @property
-    def sample_count(self) -> int:
-        return int(self.labels.size)
-
-    def label_counts(self, class_count: int) -> np.ndarray:
-        return np.bincount(self.labels, minlength=class_count).astype(np.int64)
-
-
-@dataclass
-class SimWorld:
-    """The emulated population plus a held-out test set."""
-
-    clients: dict[str, SimClient]
+    compute_latency: np.ndarray
+    bandwidth: np.ndarray
+    availability: np.ndarray
+    corrupted: np.ndarray
     class_count: int
     feature_dim: int
     test_features: np.ndarray
     test_labels: np.ndarray
     seed: int
-    class_means: np.ndarray = field(repr=False, default=None)  # type: ignore[assignment]
 
-    def client_ids(self) -> list[str]:
-        return sorted(self.clients)
+    def __post_init__(self):
+        if (len(self.offsets) != len(self.ids) + 1
+                or np.any(self.ids[1:] <= self.ids[:-1])):
+            raise ValueError("need len(ids) + 1 offsets and increasing ids")
+
+    @property
+    def sample_counts(self) -> np.ndarray:
+        return np.diff(self.offsets)
+
+    def shard(self, row: int) -> tuple[np.ndarray, np.ndarray]:
+        """Views of client ``row``'s features and labels."""
+        lo, hi = self.offsets[row], self.offsets[row + 1]
+        return self.features[lo:hi], self.labels[lo:hi]
+
+    def label_counts(self) -> np.ndarray:
+        """(clients, classes) matrix of each client's label counts."""
+        n, c = len(self.ids), self.class_count
+        cells = np.repeat(np.arange(n) * c, self.sample_counts) + self.labels
+        return np.bincount(cells, minlength=n * c).reshape(n, c)
 
     def global_label_counts(self) -> np.ndarray:
-        total = np.zeros(self.class_count, dtype=np.int64)
-        for client in self.clients.values():
-            total += client.label_counts(self.class_count)
-        return total
+        return np.bincount(self.labels, minlength=self.class_count)
 
     def total_samples(self) -> int:
-        return int(sum(c.sample_count for c in self.clients.values()))
+        return int(self.offsets[-1])
 
 
 def client_ids_for(count: int) -> list[str]:
@@ -181,52 +186,44 @@ def generate_population(spec: PopulationSpec) -> SimWorld:
     avail = rng.uniform(spec.availability_min, spec.availability_max,
                         size=spec.client_count)
 
-    ids = client_ids_for(spec.client_count)
-    clients: dict[str, SimClient] = {}
-    for i, cid in enumerate(ids):
-        labels = rng.choice(c, size=int(counts[i]), p=label_dists[i])
-        features = means[labels] + shifts[i] + rng.normal(
-            0.0, 1.0, size=(labels.size, d))
-        clients[cid] = SimClient(
-            client_id=cid,
-            features=features,
-            labels=labels,
-            compute_latency=float(latencies[i]),
-            bandwidth=float(bandwidths[i]),
-            availability=float(avail[i]),
-        )
+    # Each client's draws are written in place, one shard after another.
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    features = np.empty((offsets[-1], d))
+    labels = np.empty(offsets[-1], dtype=np.int64)
+    for i in range(spec.client_count):
+        lo, hi = offsets[i], offsets[i + 1]
+        labels[lo:hi] = rng.choice(c, size=hi - lo, p=label_dists[i])
+        features[lo:hi] = means[labels[lo:hi]] + shifts[i] + rng.normal(
+            0.0, 1.0, size=(hi - lo, d))
 
-    world = SimWorld(clients=clients, class_count=c, feature_dim=d,
-                     test_features=np.empty((0, d)),
-                     test_labels=np.empty(0, dtype=np.int64),
-                     seed=spec.seed, class_means=means)
     # Held-out set mirrors the population: clients weighted by data mass,
     # labels from each client's realized shard.
     weights = counts / counts.sum()
     owners = rng.choice(spec.client_count, size=spec.test_samples, p=weights)
     test_labels = np.empty(spec.test_samples, dtype=np.int64)
     for j, i in enumerate(owners):
-        shard = clients[ids[i]].labels
-        test_labels[j] = shard[rng.integers(shard.size)]
+        test_labels[j] = labels[offsets[i] + rng.integers(counts[i])]
     test_features = (means[test_labels] + shifts[owners]
                      + rng.normal(0.0, 1.0, size=(spec.test_samples, d)))
-    world.test_features = test_features
-    world.test_labels = test_labels
-    return world
+    return SimWorld(ids=np.array(client_ids_for(spec.client_count)),
+                    offsets=offsets, features=features, labels=labels,
+                    compute_latency=latencies, bandwidth=bandwidths,
+                    availability=avail,
+                    corrupted=np.zeros(spec.client_count, dtype=bool),
+                    class_count=c, feature_dim=d, test_features=test_features,
+                    test_labels=test_labels, seed=spec.seed)
 
 
 def pairwise_l1_divergence(world: SimWorld, pairs: int = 2000,
                            seed: int = 0) -> np.ndarray:
     """L1 distances between the label distributions of random client pairs."""
     rng = np.random.default_rng(seed)
-    ids = world.client_ids()
-    dists = np.stack([world.clients[cid].label_counts(world.class_count)
-                      for cid in ids]).astype(float)
+    dists = world.label_counts().astype(float)
     totals = dists.sum(axis=1, keepdims=True)
     totals[totals == 0] = 1.0
     dists /= totals
-    a = rng.integers(0, len(ids), size=pairs)
-    b = rng.integers(0, len(ids), size=pairs)
+    a = rng.integers(0, len(dists), size=pairs)
+    b = rng.integers(0, len(dists), size=pairs)
     keep = a != b
     return np.abs(dists[a[keep]] - dists[b[keep]]).sum(axis=1)
 
@@ -246,29 +243,9 @@ def load_trace(path: str) -> list[TraceRow]:
     """Parse a tabular device trace (tab- or comma-separated, header row)."""
     rows: list[TraceRow] = []
     seen: set[str] = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        return rows
-    sep = "\t" if "\t" in lines[0] else ","
-    header = tuple(col.strip() for col in lines[0].split(sep))
-    if header != _TRACE_COLUMNS:
-        raise TraceParseError(path, 1,
-                              f"expected header {','.join(_TRACE_COLUMNS)}")
-    for line_no, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = [p.strip() for p in line.split(sep)]
-        if len(parts) != 4:
-            raise TraceParseError(path, line_no, f"expected 4 columns, got {len(parts)}")
-        cid = parts[0]
-        try:
-            latency, bandwidth, availability = (float(parts[1]), float(parts[2]),
-                                                float(parts[3]))
-            require_finite(compute_latency=latency, bandwidth=bandwidth,
-                           availability=availability)
-        except ValueError as exc:
-            raise TraceParseError(path, line_no, f"bad number: {exc}") from exc
+    for line_no, cid, values in read_table(path, _TRACE_COLUMNS,
+                                           error=TraceParseError):
+        latency, bandwidth, availability = values
         if latency <= 0 or bandwidth <= 0:
             raise TraceParseError(path, line_no,
                                   "compute_latency and bandwidth must be > 0")
@@ -283,13 +260,14 @@ def load_trace(path: str) -> list[TraceRow]:
 
 def apply_trace(world: SimWorld, rows: Iterable[TraceRow]) -> list[str]:
     """Override matching clients' capacities; returns unmatched client ids."""
+    row_of = {cid: i for i, cid in enumerate(world.ids.tolist())}
     unmatched = []
     for row in rows:
-        client = world.clients.get(row.client_id)
-        if client is None:
+        i = row_of.get(row.client_id)
+        if i is None:
             unmatched.append(row.client_id)
             continue
-        client.compute_latency = row.compute_latency
-        client.bandwidth = row.bandwidth
-        client.availability = row.availability
+        world.compute_latency[i] = row.compute_latency
+        world.bandwidth[i] = row.bandwidth
+        world.availability[i] = row.availability
     return unmatched

@@ -206,6 +206,28 @@ def test_compose_testset_infeasible_lists_shortfall(runner, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("case", ["bad_capacity", "nan_speed", "malformed_query"])
+def test_compose_testset_bad_input_is_a_usage_error(runner, tmp_path, case):
+    query, caps = write_query_files(tmp_path)
+    clients = tmp_path / "clients.tsv"
+    clients.write_text("client_id\tspeed\tbandwidth\ttransfer_bytes\n"
+                       "a\t5.0\t1000\t10\n")
+    if case == "bad_capacity":
+        (tmp_path / "caps.tsv").write_text("client_id,category,count\na,x,5\n")
+    elif case == "nan_speed":
+        clients.write_text("client_id\tspeed\tbandwidth\ttransfer_bytes\n"
+                           "a\tnan\t1000\t10\n")
+    else:
+        (tmp_path / "query.json").write_text('{"preference": [5, 5], "budget"')
+    out = tmp_path / "assign.tsv"
+    result = runner.invoke(main, ["compose-testset", "--query", query,
+                                  "--capacities", caps, "--clients", str(clients),
+                                  "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "bad testing query" in result.output
+    assert not out.exists()
+
+
 def test_bench_cover_table(runner, tmp_path):
     out = tmp_path / "bench.tsv"
     result = runner.invoke(main, ["bench-cover", "--sizes", "5,30",

@@ -12,7 +12,7 @@ from fedsel import model
 from fedsel.simulation import (POLICIES, TrainingSession, corrupt_clients,
                                fairness_metrics, write_metrics_table)
 from fedsel.training import SelectorConfig
-from fedsel.workload import PopulationSpec, generate_population
+from fedsel.workload import PopulationSpec, SimWorld, generate_population
 
 
 def small_spec(**overrides) -> PopulationSpec:
@@ -59,21 +59,25 @@ def test_round_wall_time_is_kth_order_statistic():
     world = session.world
     result = session.run_round()
     durations = []
-    for cid in result.invited:
-        client = world.clients[cid]
-        durations.append(client.sample_count * client.compute_latency
-                         + model.model_bytes(session.weights) / client.bandwidth)
+    for row in np.searchsorted(world.ids, result.invited):
+        durations.append(world.sample_counts[row] * world.compute_latency[row]
+                         + model.model_bytes(session.weights)
+                         / world.bandwidth[row])
     assert result.wall_time == pytest.approx(sorted(durations)[4])
 
 
 def test_identical_speeds_complete_in_id_order():
-    world = generate_population(small_spec())
-    for client in world.clients.values():
-        client.compute_latency = 0.1
-        client.bandwidth = 1e6
-        client.features = client.features[:10]
-        client.labels = client.labels[:10]
-        client.availability = 1.0
+    source = generate_population(small_spec())
+    n = len(source.ids)
+    first_ten = (source.offsets[:-1, None] + np.arange(10)).ravel()
+    world = SimWorld(
+        ids=source.ids, offsets=np.arange(n + 1) * 10,
+        features=source.features[first_ten], labels=source.labels[first_ten],
+        compute_latency=np.full(n, 0.1), bandwidth=np.full(n, 1e6),
+        availability=np.ones(n), corrupted=np.zeros(n, dtype=bool),
+        class_count=source.class_count, feature_dim=source.feature_dim,
+        test_features=source.test_features, test_labels=source.test_labels,
+        seed=source.seed)
     cfg = SelectorConfig(pacer_step=5.0)
     session = TrainingSession(world, "random", cfg, 5, seed=1)
     result = session.run_round()
@@ -84,8 +88,9 @@ def test_identical_speeds_complete_in_id_order():
 def test_straggler_excluded_from_completers():
     spec = small_spec()
     world = generate_population(spec)
-    slowest = max(world.clients, key=lambda c: world.clients[c].compute_latency)
-    world.clients[slowest].compute_latency *= 100
+    row = int(np.argmax(world.compute_latency))
+    slowest = world.ids[row]
+    world.compute_latency[row] *= 100
     cfg = SelectorConfig(pacer_step=5.0)
     session = TrainingSession(world, "random", cfg, 5, seed=1)
     for _ in range(6):
@@ -131,12 +136,12 @@ def test_aggregation_is_mean_of_completer_models():
     lr = session.learning_rate / (1.0 + 1 / session.lr_decay_rounds)
     result = session.run_round()
     locals_ = []
-    for cid in result.completers:
-        client = world.clients[cid]
-        rng = np.random.default_rng([5, 1, 5, session._index[cid]])
-        (new_w,), _, _ = model.local_epoch(start, client.features,
-                                           client.labels, [client.sample_count],
-                                           lr, session.batch_size, [rng])
+    for row in np.searchsorted(world.ids, result.completers).tolist():
+        features, labels = world.shard(row)
+        rng = np.random.default_rng([5, 1, 5, row])
+        (new_w,), _, _ = model.local_epoch(start, features, labels,
+                                           [labels.size], lr,
+                                           session.batch_size, [rng])
         locals_.append(new_w)
     expected = np.stack(locals_).mean(axis=0)
     scale = max(1.0, np.abs(expected).max())
@@ -211,42 +216,36 @@ def test_blacklisted_clients_eventually_excluded():
 
 def test_corrupt_mode_a_flips_all_labels_of_fraction():
     world = generate_population(small_spec())
-    originals = {cid: world.clients[cid].labels.copy()
-                 for cid in world.client_ids()}
+    originals = world.labels.copy()
     corrupt_clients(world, fraction=0.5, seed=1)
-    flagged = [cid for cid in world.client_ids() if world.clients[cid].corrupted]
-    assert len(flagged) == 20
-    for cid in flagged:
-        assert np.all(world.clients[cid].labels != originals[cid])
-    for cid in set(world.client_ids()) - set(flagged):
-        assert np.array_equal(world.clients[cid].labels, originals[cid])
+    assert world.corrupted.sum() == 20
+    for row, flagged in enumerate(world.corrupted):
+        lo, hi = world.offsets[row], world.offsets[row + 1]
+        changed = world.labels[lo:hi] != originals[lo:hi]
+        assert np.all(changed) if flagged else not np.any(changed)
 
 
 def test_corrupt_fraction_one_flags_everyone():
     world = generate_population(small_spec())
     corrupt_clients(world, fraction=1.0, seed=2)
-    assert all(c.corrupted for c in world.clients.values())
+    assert world.corrupted.all()
 
 
 def test_corrupt_rate_zero_is_identity():
     world = generate_population(small_spec())
-    originals = {cid: world.clients[cid].labels.copy()
-                 for cid in world.client_ids()}
+    originals = world.labels.copy()
     corrupt_clients(world, flip_rate=0.0, seed=3)
-    assert not any(c.corrupted for c in world.clients.values())
-    for cid, labels in originals.items():
-        assert np.array_equal(world.clients[cid].labels, labels)
+    assert not world.corrupted.any()
+    assert np.array_equal(world.labels, originals)
 
 
 def test_corrupt_mode_b_flips_subset():
     world = generate_population(small_spec())
-    originals = {cid: world.clients[cid].labels.copy()
-                 for cid in world.client_ids()}
+    originals = world.labels.copy()
     corrupt_clients(world, flip_rate=0.3, seed=4)
-    for cid in world.client_ids():
-        diff = world.clients[cid].labels != originals[cid]
-        n = originals[cid].size
-        assert diff.sum() == int(round(0.3 * n))
+    for lo, hi in zip(world.offsets[:-1], world.offsets[1:]):
+        diff = world.labels[lo:hi] != originals[lo:hi]
+        assert diff.sum() == int(round(0.3 * (hi - lo)))
 
 
 def test_corrupt_requires_exactly_one_mode():
@@ -300,13 +299,22 @@ def test_metrics_table_format(tmp_path):
 def test_availability_zero_round_is_idle():
     spec = small_spec(availability_min=0.9, availability_max=1.0)
     world = generate_population(spec)
-    for client in world.clients.values():
-        client.availability = 1e-12
+    world.availability[:] = 1e-12
     cfg = SelectorConfig(pacer_step=5.0)
     session = TrainingSession(world, "random", cfg, 5, seed=1)
     result = session.run_round()
     assert result.completers == ()
     assert result.wall_time == 0.0
+
+
+def test_selector_without_feasible_clients_idles_the_round(caplog):
+    cfg = SelectorConfig(pacer_step=5.0, blacklist_threshold=1)
+    session = make_session(policy="guided", seed=2, k=40, config=cfg)
+    results = session.run_rounds(6)
+    assert len(session.blacklisted_ids) == 40
+    assert "no feasible clients" in caplog.text
+    assert results[-1].invited == results[-1].completers == ()
+    assert results[-1].wall_time == 0.0
 
 
 def test_resumed_session_reports_same_fairness_as_uninterrupted():
@@ -318,7 +326,7 @@ def test_resumed_session_reports_same_fairness_as_uninterrupted():
     resumed = make_session(policy="guided", seed=4)
     resumed.restore(checkpoint)
     resumed.run_rounds(3)
-    ids = straight.world.client_ids()
+    ids = straight.world.ids.tolist()
     assert resumed.selection_history == straight.selection_history
     assert (fairness_metrics(resumed.selection_history, ids,
                              resumed.blacklisted_ids)

@@ -367,6 +367,38 @@ def test_capacity_file_rejects_bad_header(tmp_path):
         read_capacity_file(str(path))
 
 
+def test_capacity_file_rejects_duplicate_cell(tmp_path):
+    path = tmp_path / "caps.tsv"
+    path.write_text("client_id\tcategory\tcount\n"
+                    "a\t0\t1\nb\t0\t2\na\t0\t3\n")
+    with pytest.raises(ValueError, match=r"caps\.tsv:4: duplicate"):
+        read_capacity_file(str(path))
+
+
+@pytest.mark.parametrize("row", [
+    "a\tnan\t1000\t10",
+    "a\t5.0\tinf\t10",
+    "a\t5.0\t1000\t-inf",
+    "a\t-5.0\t1000\t10",
+    "a\t5.0\t1000\t-1",
+], ids=["nan_speed", "inf_bandwidth", "minus_inf_transfer", "negative_speed",
+        "negative_transfer"])
+def test_client_table_rejects_bad_value(tmp_path, row):
+    path = tmp_path / "clients.tsv"
+    path.write_text("client_id\tspeed\tbandwidth\ttransfer_bytes\n"
+                    "b\t1.0\t1000\t10\n" + row + "\n")
+    with pytest.raises(ValueError, match=r"clients\.tsv:3: "):
+        read_client_table(str(path))
+
+
+def test_client_table_rejects_duplicate_client(tmp_path):
+    path = tmp_path / "clients.tsv"
+    path.write_text("client_id\tspeed\tbandwidth\ttransfer_bytes\n"
+                    "a\t1.0\t1000\t10\na\t2.0\t1000\t10\n")
+    with pytest.raises(ValueError, match=r"clients\.tsv:3: duplicate"):
+        read_client_table(str(path))
+
+
 def test_query_descriptor_with_representative_samples(tmp_path):
     caps_path = tmp_path / "caps.tsv"
     caps_path.write_text("client_id\tcategory\tcount\n"

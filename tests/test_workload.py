@@ -41,15 +41,9 @@ def spec(**overrides) -> PopulationSpec:
 def test_same_seed_identical_worlds():
     a = generate_population(spec())
     b = generate_population(spec())
-    assert a.client_ids() == b.client_ids()
-    for cid in a.client_ids():
-        ca, cb = a.clients[cid], b.clients[cid]
-        assert np.array_equal(ca.features, cb.features)
-        assert np.array_equal(ca.labels, cb.labels)
-        assert ca.compute_latency == cb.compute_latency
-        assert ca.bandwidth == cb.bandwidth
-        assert ca.availability == cb.availability
-    assert np.array_equal(a.test_features, b.test_features)
+    for name in ("ids", "offsets", "features", "labels", "compute_latency",
+                 "bandwidth", "availability", "corrupted", "test_features"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
 def test_different_seed_differs():
@@ -75,11 +69,10 @@ def test_high_concentration_approaches_global_mix():
 
 def test_capacities_positive_and_availability_in_range():
     world = generate_population(spec())
-    for client in world.clients.values():
-        assert client.compute_latency > 0
-        assert client.bandwidth > 0
-        assert 0.8 <= client.availability <= 1.0
-        assert client.sample_count >= 10
+    assert np.all(world.compute_latency > 0)
+    assert np.all(world.bandwidth > 0)
+    assert np.all((0.8 <= world.availability) & (world.availability <= 1.0))
+    assert np.all(world.sample_counts >= 10)
 
 
 def test_class_count_guard():
@@ -100,8 +93,7 @@ def test_sample_count_histogram_matches_power_law():
     # Kolmogorov distance against the exact clamped-floored CDF; the 3-sigma
     # critical value for the continuous case is conservative here.
     s = spec(client_count=10_000, sample_min=10, sample_max=100_000)
-    counts = np.sort([c.sample_count for c in
-                      generate_population(s).clients.values()])
+    counts = np.sort(generate_population(s).sample_counts)
     values = np.unique(counts)
     n = counts.size
     worst = 0.0
@@ -115,8 +107,10 @@ def test_sample_count_histogram_matches_power_law():
 def test_mass_weighted_label_mix_is_global_distribution():
     world = generate_population(spec())
     total = np.zeros(world.class_count)
-    for client in world.clients.values():
-        dist = client.label_counts(world.class_count)
+    for row in range(len(world.ids)):
+        _, labels = world.shard(row)
+        dist = np.bincount(labels, minlength=world.class_count)
+        assert np.array_equal(world.label_counts()[row], dist)
         total += dist
     global_counts = world.global_label_counts()
     assert np.array_equal(total.astype(np.int64), global_counts)
@@ -125,7 +119,13 @@ def test_mass_weighted_label_mix_is_global_distribution():
 
 def test_client_ids_for_matches_generation():
     world = generate_population(spec(client_count=12))
-    assert world.client_ids() == client_ids_for(12)
+    assert world.ids.tolist() == client_ids_for(12)
+
+
+def test_every_exported_name_resolves():
+    import fedsel
+    assert len(set(fedsel.__all__)) == len(fedsel.__all__)
+    assert [name for name in fedsel.__all__ if not hasattr(fedsel, name)] == []
 
 
 # -- traces ----------------------------------------------------------------------
@@ -139,7 +139,7 @@ def write_trace(tmp_path, body: str):
 
 def test_trace_roundtrip_and_overlay(tmp_path):
     world = generate_population(spec(client_count=5))
-    ids = world.client_ids()
+    ids = world.ids
     path = write_trace(tmp_path,
                        "client_id\tcompute_latency\tbandwidth\tavailability\n"
                        f"{ids[0]}\t0.5\t1234\t0.9\n"
@@ -147,9 +147,9 @@ def test_trace_roundtrip_and_overlay(tmp_path):
     rows = load_trace(path)
     unmatched = apply_trace(world, rows)
     assert unmatched == ["stranger"]
-    assert world.clients[ids[0]].compute_latency == 0.5
-    assert world.clients[ids[0]].bandwidth == 1234
-    assert world.clients[ids[0]].availability == 0.9
+    assert world.compute_latency[0] == 0.5
+    assert world.bandwidth[0] == 1234
+    assert world.availability[0] == 0.9
 
 
 def test_trace_empty_file_no_overrides(tmp_path):
@@ -193,7 +193,7 @@ def test_trace_duplicate_id_rejected(tmp_path):
 
 def test_trace_overlay_matches_empirical_cdf(tmp_path):
     world = generate_population(spec(client_count=30))
-    ids = world.client_ids()
+    ids = world.ids
     rows = "client_id\tcompute_latency\tbandwidth\tavailability\n"
     expected = []
     for i, cid in enumerate(ids):
@@ -201,7 +201,7 @@ def test_trace_overlay_matches_empirical_cdf(tmp_path):
         expected.append(latency)
         rows += f"{cid}\t{latency}\t1000\t1.0\n"
     apply_trace(world, load_trace(write_trace(tmp_path, rows)))
-    observed = sorted(world.clients[cid].compute_latency for cid in ids)
+    observed = sorted(world.compute_latency.tolist())
     assert observed == sorted(expected)
 
 
@@ -211,14 +211,14 @@ def test_trace_overlay_matches_empirical_cdf(tmp_path):
 def world_digest(world) -> str:
     """Fold the ids, every shard's labels and features, the capacity columns,
     the corruption flags and the test set, in id order, into one digest."""
-    ids = world.client_ids()
-    clients = [world.clients[cid] for cid in ids]
-    digest = hashlib.sha256(repr(ids).encode())
-    for client in clients:
-        digest.update(client.labels.tobytes())
-        digest.update(client.features.tobytes())
-    for name in ("compute_latency", "bandwidth", "availability", "corrupted"):
-        digest.update(np.array([getattr(c, name) for c in clients]).tobytes())
+    digest = hashlib.sha256(repr(world.ids.tolist()).encode())
+    for row in range(len(world.ids)):
+        features, labels = world.shard(row)
+        digest.update(labels.tobytes())
+        digest.update(features.tobytes())
+    for column in (world.compute_latency, world.bandwidth, world.availability,
+                   world.corrupted):
+        digest.update(column.tobytes())
     digest.update(world.test_features.tobytes())
     digest.update(world.test_labels.tobytes())
     return digest.hexdigest()
@@ -236,7 +236,7 @@ def shifted_small_spec() -> PopulationSpec:
 
 
 def _traced(world, tmp_path):
-    ids = world.client_ids()
+    ids = world.ids
     path = write_trace(tmp_path,
                        "client_id\tcompute_latency\tbandwidth\tavailability\n"
                        f"{ids[3]}\t0.25\t777\t0.5\n"
