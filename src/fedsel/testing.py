@@ -225,36 +225,32 @@ def compile_representative_preference(global_counts: Sequence[int],
 # -- query and assignment files ------------------------------------------------
 
 
-_CAPACITY_COLUMNS = ("client_id", "category", "count")
-_CLIENT_COLUMNS = ("client_id", "speed", "bandwidth", "transfer_bytes")
-
-
 def read_capacity_file(path: str) -> tuple[list[str], np.ndarray]:
     """Tabular capacity matrix: one (client_id, category, count) row per cell."""
-    entries: dict[str, dict[int, int]] = {}
-    rows = read_table(path, _CAPACITY_COLUMNS, kind=int)
-    if not rows:
-        raise TableParseError(path, 1, "no capacity rows")
-    for line_no, cid, (cat, count) in rows:
+    cells: dict[tuple[str, int], int] = {}
+    columns = ("client_id", "category", "count")
+    for line_no, cid, (cat, count) in read_table(path, columns, int):
         if cat < 0 or count < 0:
             raise TableParseError(path, line_no, "category and count must be >= 0")
-        if cat in entries.setdefault(cid, {}):
+        if (cid, cat) in cells:
             raise TableParseError(path, line_no,
                                   f"duplicate row for {cid!r}, category {cat}")
-        entries[cid][cat] = count
-    ids = sorted(entries)
-    caps = np.zeros((len(ids), 1 + max(max(e) for e in entries.values())),
-                    dtype=np.int64)
-    for i, cid in enumerate(ids):
-        for cat, count in entries[cid].items():
-            caps[i, cat] = count
+        cells[cid, cat] = count
+    if not cells:
+        raise TableParseError(path, 1, "no capacity rows")
+    ids = sorted({cid for cid, _ in cells})
+    row_of = {cid: i for i, cid in enumerate(ids)}
+    caps = np.zeros((len(ids), 1 + max(cat for _, cat in cells)), dtype=np.int64)
+    for (cid, cat), count in cells.items():
+        caps[row_of[cid], cat] = count
     return ids, caps
 
 
 def read_client_table(path: str) -> dict[str, tuple[float, float, float]]:
     """Per-client (speed, bandwidth, transfer_bytes) rows."""
     out: dict[str, tuple[float, float, float]] = {}
-    for line_no, cid, values in read_table(path, _CLIENT_COLUMNS):
+    columns = ("client_id", "speed", "bandwidth", "transfer_bytes")
+    for line_no, cid, values in read_table(path, columns):
         if min(values) < 0:
             raise TableParseError(path, line_no, "speed, bandwidth and "
                                                  "transfer_bytes must be >= 0")

@@ -100,9 +100,11 @@ class SimWorld:
     seed: int
 
     def __post_init__(self):
-        if (len(self.offsets) != len(self.ids) + 1
+        n = len(self.labels)
+        if (len(self.offsets) != len(self.ids) + 1 or len(self.features) != n
+                or self.offsets[0] != 0 or self.offsets[-1] != n
                 or np.any(self.ids[1:] <= self.ids[:-1])):
-            raise ValueError("need len(ids) + 1 offsets and increasing ids")
+            raise ValueError("need N+1 offsets from 0 to len(labels), increasing ids")
 
     @property
     def sample_counts(self) -> np.ndarray:

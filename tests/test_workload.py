@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
 
@@ -120,6 +121,18 @@ def test_mass_weighted_label_mix_is_global_distribution():
 def test_client_ids_for_matches_generation():
     world = generate_population(spec(client_count=12))
     assert world.ids.tolist() == client_ids_for(12)
+
+
+@pytest.mark.parametrize("change", ["short_offsets", "offsets_past_labels",
+                                    "reversed_ids", "repeated_id"])
+def test_world_rejects_misaligned_columns(change):
+    world = generate_population(spec(client_count=5))
+    bad = {"short_offsets": {"offsets": world.offsets[:-1]},
+           "offsets_past_labels": {"offsets": world.offsets + 1},
+           "reversed_ids": {"ids": world.ids[::-1]},
+           "repeated_id": {"ids": world.ids[[0, 0, 2, 3, 4]]}}[change]
+    with pytest.raises(ValueError):
+        dataclasses.replace(world, **bad)
 
 
 def test_every_exported_name_resolves():
