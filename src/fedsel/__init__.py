@@ -4,7 +4,7 @@ from .errors import (BudgetExceededError, CheckpointError, EmptySelectionError,
                      FedselError, InfeasibleQueryError, SizeGuardError,
                      StaleFeedbackError, TableParseError, TraceParseError,
                      UnknownClientError)
-from .metastore import Checkpoint, ClientRecord, MetaStore, RoundFeedback, StoreView
+from .metastore import Checkpoint, MetaStore, RoundFeedback, StoreView
 from .testing import (Assignment, DeviationQuery, DistributionQuery,
                       compile_representative_preference, duration_of,
                       estimate_participant_count, exact_milp, greedy_cover,
@@ -21,8 +21,8 @@ from .workload import (PopulationSpec, SimWorld, apply_trace,
 
 __all__ = [
     "Assignment", "BudgetExceededError", "Checkpoint", "CheckpointError",
-    "ClientRecord", "DeviationQuery", "DistributionQuery",
-    "EmptySelectionError", "FedselError", "InfeasibleQueryError", "MetaStore",
+    "DeviationQuery", "DistributionQuery", "EmptySelectionError",
+    "FedselError", "InfeasibleQueryError", "MetaStore",
     "POLICIES", "PopulationSpec", "RoundFeedback", "RoundResult",
     "SelectorConfig", "SimWorld", "SizeGuardError", "StaleFeedbackError",
     "StoreView", "TableParseError", "TraceParseError", "TrainRecord",

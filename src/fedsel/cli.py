@@ -142,6 +142,8 @@ def compose_testset(query_path, capacities_path, clients_path, out_path, exact):
         query = testing.load_distribution_query(descriptor, ids, caps, table)
     except (TypeError, ValueError) as exc:
         raise click.UsageError(f"bad testing query: {exc}") from exc
+    if table and (unmatched := table.keys() - set(ids)):
+        click.echo(f"clients: {len(unmatched)} rows did not match any client")
 
     start = time.perf_counter()
     try:

@@ -1,8 +1,8 @@
 """Per-client metadata registry.
 
 A single-writer store of per-client aggregates fed by round feedback. The
-store keeps one numpy column per field, indexed by a stable client slot, so a
-client costs a constant handful of values no matter how many rounds it has
+store keeps one numpy column per field, rows in client-id order, so a client
+costs a constant handful of values no matter how many rounds it has
 participated in. Selectors read immutable snapshot views made of read-only
 column copies; the whole store can be checkpointed to a versioned JSON file
 and restored bit-identically. A store that saves keeps each row's JSON text
@@ -17,7 +17,7 @@ import os
 import threading
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -39,20 +39,6 @@ _COLUMNS = (
 )
 
 _MIN_CAPACITY = 64
-
-
-@dataclass
-class ClientRecord:
-    """Everything the selectors know about one client."""
-
-    client_id: str
-    speed_hint: float | None = None
-    stat_utility: float = 0.0
-    last_round: int = 0
-    duration: float = 0.0
-    times_selected: int = 0
-    blacklisted: bool = False
-    explored: bool = False
 
 
 @dataclass(frozen=True)
@@ -90,14 +76,6 @@ class ClientTable:
             col.setflags(write=False)
             object.__setattr__(self, name, col)
 
-    @classmethod
-    def from_records(cls, records: Iterable[ClientRecord]) -> "ClientTable":
-        records = list(records)
-        cols = {name: [getattr(r, name) for r in records] for name, _ in _COLUMNS}
-        cols["speed_hint"] = [math.nan if h is None else h
-                              for h in cols["speed_hint"]]
-        return cls(tuple(r.client_id for r in records), **cols)
-
     def __len__(self) -> int:
         return len(self.ids)
 
@@ -111,76 +89,21 @@ class ClientTable:
 
     __hash__ = None  # type: ignore[assignment]
 
-    def record(self, row: int) -> ClientRecord:
-        hint = float(self.speed_hint[row])
-        return ClientRecord(
-            client_id=self.ids[row],
-            speed_hint=None if math.isnan(hint) else hint,
-            stat_utility=float(self.stat_utility[row]),
-            last_round=int(self.last_round[row]),
-            duration=float(self.duration[row]),
-            times_selected=int(self.times_selected[row]),
-            blacklisted=bool(self.blacklisted[row]),
-            explored=bool(self.explored[row]),
-        )
-
-
-class _RecordMap(Mapping[str, ClientRecord]):
-    """Read-only per-client accessor; builds a :class:`ClientRecord` per lookup."""
-
-    def __init__(self, table: ClientTable, slots: Mapping[str, int]):
-        self._table = table
-        self._slots = slots
-
-    def __getitem__(self, client_id: str) -> ClientRecord:
-        return self._table.record(self._slots[client_id])
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._table.ids)
-
-    def __len__(self) -> int:
-        return len(self._table)
-
-
-def _slots_and_order(ids: Sequence[str]) -> tuple[Mapping[str, int], np.ndarray]:
-    """The id -> row map and the rows in client-id order."""
-    slots = {cid: i for i, cid in enumerate(ids)}
-    if len(slots) != len(ids):
-        raise ValueError("duplicate client ids")
-    order = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp)
-    order.setflags(write=False)
-    return slots, order
-
 
 @dataclass(frozen=True, eq=False)
 class StoreView:
     """Immutable snapshot handed to selectors; safe to share across threads.
 
-    ``table`` rows are in slot order; ``order`` lists the rows in client-id
-    order and ``slots`` maps a client id to its row. ``slots`` is shared by
-    every view taken between two registrations, so readers must not mutate
-    it.
+    ``table`` rows are in client-id order and ``slots`` maps a client id to
+    its row. ``slots`` is shared by every view taken between two
+    registrations, so readers must not mutate it.
     """
 
     table: ClientTable
     round_index: int
     preferred_duration: float
     utility_history: tuple[float, ...]
-    order: np.ndarray
     slots: Mapping[str, int]
-
-    @classmethod
-    def from_records(cls, records: Iterable[ClientRecord], round_index: int,
-                     preferred_duration: float,
-                     utility_history: Sequence[float] = ()) -> "StoreView":
-        table = ClientTable.from_records(records)
-        slots, order = _slots_and_order(table.ids)
-        return cls(table, round_index, float(preferred_duration),
-                   tuple(utility_history), order, slots)
-
-    @property
-    def records(self) -> Mapping[str, ClientRecord]:
-        return _RecordMap(self.table, self.slots)
 
 
 # -- checkpoints -------------------------------------------------------------
@@ -267,7 +190,9 @@ def _check_table(table: ClientTable, round_index: int) -> None:
 class Checkpoint:
     """Serializable snapshot of the full store state, validated on construction.
 
-    :meth:`MetaStore.snapshot` puts the ``table`` rows in client-id order.
+    :meth:`MetaStore.snapshot` puts the ``table`` rows in client-id order. A
+    table decoded from a file keeps the file's record order, which may be any
+    order; :meth:`MetaStore.restore` sorts it.
     """
 
     version: str
@@ -298,10 +223,6 @@ class Checkpoint:
         _check_table(self.table, r)
         object.__setattr__(self, "preferred_duration", t_pref)
         object.__setattr__(self, "utility_history", history)
-
-    @property
-    def records(self) -> tuple[ClientRecord, ...]:
-        return tuple(self.table.record(i) for i in range(len(self.table)))
 
     def _head(self) -> str:
         """The JSON text before the first record."""
@@ -344,10 +265,12 @@ class Checkpoint:
 class MetaStore:
     """Columnar registry of per-client state, round counter and pacer state.
 
-    Each registered client owns one slot, a row in every column. Columns grow
-    by doubling, so registration is amortised O(1). Feedback ingestion and
-    checkpointing are serialized behind one lock; readers work from
-    :meth:`view` snapshots.
+    Each registered client owns a row in every column, and every read sees
+    the rows in client-id order. Registration appends a row and columns grow
+    by doubling, so registration is amortised O(1); a registration out of id
+    order, or a restore, leaves the rows for the next read to sort at once.
+    Feedback ingestion and checkpointing are serialized behind one lock;
+    readers work from :meth:`view` snapshots.
     """
 
     def __init__(self, preferred_duration: float, clip_percentile: float = 95.0,
@@ -369,9 +292,10 @@ class MetaStore:
         # views never see it. The text list is made by the first save.
         self._rendered = np.zeros(_MIN_CAPACITY, np.bool_)
         self._row_text: list[str] | None = None
-        # (ids, slots, order) shared by views; rebuilt after a registration.
-        self._frozen: tuple[tuple[str, ...], Mapping[str, int],
-                            np.ndarray] | None = None
+        # False while some row is out of client-id order; _index sorts them.
+        self._sorted = True
+        # (ids, slots) shared by views; rebuilt after a registration.
+        self._frozen: tuple[tuple[str, ...], Mapping[str, int]] | None = None
         self._round = 0
         self._preferred_duration = float(preferred_duration)
         self._utility_history: list[float] = []
@@ -396,6 +320,8 @@ class MetaStore:
             row = len(self._ids)
             if row == len(self._cols["explored"]):
                 self._grow(2 * row)
+            if row and client_id < self._ids[-1]:
+                self._sorted = False
             self._slots[client_id] = row
             self._ids.append(client_id)
             self._cols["speed_hint"][row] = (math.nan if speed_hint is None
@@ -445,7 +371,7 @@ class MetaStore:
 
     def client_ids(self) -> list[str]:
         with self._lock:
-            return sorted(self._ids)
+            return list(self._index()[0])
 
     # -- feedback ingestion -------------------------------------------------
 
@@ -507,25 +433,44 @@ class MetaStore:
 
     # -- snapshots -----------------------------------------------------------
 
-    def _index(self) -> tuple[tuple[str, ...], Mapping[str, int], np.ndarray]:
+    def _index(self) -> tuple[tuple[str, ...], Mapping[str, int]]:
+        """Put the rows in client-id order if they are not; (ids, slots)."""
+        if not self._sorted:
+            self._sort()
         if self._frozen is None:
-            ids = tuple(self._ids)
-            self._frozen = (ids, *_slots_and_order(ids))
+            self._frozen = (tuple(self._ids), dict(self._slots))
         return self._frozen
+
+    def _sort(self) -> None:
+        n = len(self._ids)
+        perm = sorted(range(n), key=self._ids.__getitem__)
+        rows = np.array(perm, dtype=np.intp)
+        for col in (*self._cols.values(), self._rendered):
+            col[:n] = col[rows]
+        if self._row_text is not None:
+            text = self._row_text + [""] * (n - len(self._row_text))
+            self._row_text = [text[i] for i in perm]
+        self._ids = [self._ids[i] for i in perm]
+        self._slots = {cid: i for i, cid in enumerate(self._ids)}
+        self._sorted = True
+        self._frozen = None
+
+    def _table(self) -> ClientTable:
+        """A copy of the columns, rows in client-id order."""
+        ids, _ = self._index()
+        n = len(ids)
+        return ClientTable(ids, **{name: col[:n].copy()
+                                   for name, col in self._cols.items()})
 
     def view(self) -> StoreView:
         with self._lock:
-            n = len(self._ids)
-            ids, slots, order = self._index()
-            table = ClientTable(ids, **{name: col[:n].copy()
-                                        for name, col in self._cols.items()})
+            table = self._table()
             return StoreView(
                 table=table,
                 round_index=self._round,
                 preferred_duration=self._preferred_duration,
                 utility_history=tuple(self._utility_history),
-                order=order,
-                slots=slots,
+                slots=self._index()[1],
             )
 
     def snapshot(self) -> Checkpoint:
@@ -533,17 +478,12 @@ class MetaStore:
             return self._snapshot()
 
     def _snapshot(self) -> Checkpoint:
-        n = len(self._ids)
-        ids, _, order = self._index()
-        table = ClientTable(tuple(map(ids.__getitem__, order.tolist())),
-                            **{name: col[:n][order]
-                               for name, col in self._cols.items()})
         return Checkpoint(
             version=CHECKPOINT_VERSION,
             round_index=self._round,
             preferred_duration=self._preferred_duration,
             utility_history=tuple(self._utility_history),
-            table=table,
+            table=self._table(),
         )
 
     def restore(self, checkpoint: Checkpoint) -> None:
@@ -562,6 +502,7 @@ class MetaStore:
             self._cols = cols
             self._rendered = np.zeros(len(cols["explored"]), np.bool_)
             self._row_text = None
+            self._sorted = False
             self._frozen = None
             self._round = checkpoint.round_index
             self._preferred_duration = checkpoint.preferred_duration
@@ -586,11 +527,10 @@ class MetaStore:
             for row, line in zip(stale.tolist(), fresh):
                 text[row] = line
             self._rendered[stale] = True
-            _, _, order = self._index()
             tmp = f"{path}.tmp"
             with open(tmp, "w", encoding="utf-8") as fh:
                 fh.write(head)
-                fh.write(",".join(map(text.__getitem__, order.tolist())))
+                fh.write(",".join(text))
                 fh.write("]}")
             os.replace(tmp, path)
 

@@ -260,6 +260,13 @@ def read_client_table(path: str) -> dict[str, tuple[float, float, float]]:
     return out
 
 
+def _int_at_least(value: object, name: str, least: int) -> int:
+    """``value`` if it is an int (not a bool) of at least ``least``."""
+    if type(value) is not int or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return value
+
+
 def load_distribution_query(descriptor: dict, client_ids: list[str],
                             capacities: np.ndarray,
                             client_table: Mapping[str, tuple[float, float, float]]
@@ -273,16 +280,27 @@ def load_distribution_query(descriptor: dict, client_ids: list[str],
     ``representative_samples`` total to be spread like the global
     distribution, plus the participant ``budget``.
     """
+    if not isinstance(descriptor, dict):
+        raise ValueError("query descriptor must be a JSON object")
     if "budget" not in descriptor:
         raise ValueError("query descriptor needs a budget")
-    budget = int(descriptor["budget"])
+    budget = _int_at_least(descriptor["budget"], "budget", 1)
     if "preference" in descriptor:
-        preference = np.asarray(descriptor["preference"], dtype=np.int64)
+        values = descriptor["preference"]
+        if not isinstance(values, list):
+            raise ValueError("preference must be a list of integers >= 0")
+        try:
+            preference = np.array([_int_at_least(v, "preference entry", 0)
+                                   for v in values], dtype=np.int64)
+        except OverflowError as exc:
+            raise ValueError(f"preference entry is out of range: {exc}") from exc
         if preference.size != capacities.shape[1]:
             raise ValueError("preference length does not match capacity categories")
     elif "representative_samples" in descriptor:
         preference = compile_representative_preference(
-            capacities.sum(axis=0), int(descriptor["representative_samples"]))
+            capacities.sum(axis=0),
+            _int_at_least(descriptor["representative_samples"],
+                          "representative_samples", 1))
     else:
         raise ValueError("query descriptor needs preference or representative_samples")
     table = client_table or {}

@@ -464,15 +464,14 @@ class TrainingSelector:
     @staticmethod
     def _pool(view: "StoreView", candidates: Iterable[str] | None) -> np.ndarray:
         """Rows of the non-blacklisted candidates, once each, in client-id order."""
-        table, order = view.table, view.order
+        table = view.table
         if candidates is None:
-            return order[~table.blacklisted[order]]
+            return np.flatnonzero(~table.blacklisted)
         rows = np.fromiter(map(view.slots.get, candidates, repeat(-1)),
                            dtype=np.intp)
         eligible = np.zeros(len(table), dtype=bool)
         eligible[rows[rows >= 0]] = True
-        eligible &= ~table.blacklisted
-        return order[eligible[order]]
+        return np.flatnonzero(eligible & ~table.blacklisted)
 
     def _admitted(self, weights: np.ndarray, n_exploit: int) -> np.ndarray:
         """Mask of clients above c% of the cutoff utility; the rest sit below.

@@ -228,6 +228,28 @@ def test_compose_testset_bad_input_is_a_usage_error(runner, tmp_path, case):
     assert not out.exists()
 
 
+def test_compose_testset_reports_unmatched_client_rows(runner, tmp_path):
+    query, caps = write_query_files(tmp_path)
+    clients = tmp_path / "clients.tsv"
+    clients.write_text("client_id\tspeed\tbandwidth\ttransfer_bytes\n"
+                       "zz\t5.0\t1000\t10\n")
+    out = tmp_path / "assign.tsv"
+    result = runner.invoke(main, ["compose-testset", "--query", query,
+                                  "--capacities", caps, "--clients", str(clients),
+                                  "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert "clients: 1 rows did not match any client" in result.output
+    # A table that covers every capacity client says nothing.
+    clients.write_text("client_id\tspeed\tbandwidth\ttransfer_bytes\n"
+                       "a\t5.0\t1000\t10\nb\t5.0\t1000\t10\n"
+                       "c\t5.0\t1000\t10\n")
+    result = runner.invoke(main, ["compose-testset", "--query", query,
+                                  "--capacities", caps, "--clients", str(clients),
+                                  "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert "did not match" not in result.output
+
+
 def test_bench_cover_table(runner, tmp_path):
     out = tmp_path / "bench.tsv"
     result = runner.invoke(main, ["bench-cover", "--sizes", "5,30",

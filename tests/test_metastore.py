@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from fedsel import metastore
 from fedsel.errors import CheckpointError, StaleFeedbackError, UnknownClientError
-from fedsel.metastore import Checkpoint, MetaStore, RoundFeedback
+from fedsel.metastore import Checkpoint, MetaStore, RoundFeedback, StoreView
 from fedsel.training import SelectorConfig, TrainingSelector
 
 
@@ -35,13 +35,20 @@ def feed(s: MetaStore, *items: tuple[str, float, float]) -> int:
         for cid, u, d in items])
 
 
+def cells(view: StoreView, cid: str) -> dict:
+    """Client ``cid``'s row of every column, found through ``view.slots``."""
+    row = view.slots[cid]
+    return {name: getattr(view.table, name)[row].item()
+            for name, _ in metastore._COLUMNS}
+
+
 def test_register_then_feedback_updates_record():
     s = store()
     s.register_client("a", speed_hint=2.0)
     assert feed(s, ("a", 5.0, 3.0)) == 1
-    rec = s.view().records["a"]
-    assert rec.explored and rec.stat_utility == 5.0
-    assert rec.last_round == 1 and rec.duration == 3.0 and rec.times_selected == 1
+    rec = cells(s.view(), "a")
+    assert rec["explored"] and rec["stat_utility"] == 5.0
+    assert (rec["last_round"], rec["duration"], rec["times_selected"]) == (1, 3.0, 1)
 
 
 def test_empty_batch_is_identity():
@@ -59,7 +66,7 @@ def test_unknown_client_rejects_whole_batch():
     batch = [RoundFeedback("a", 1.0, 1.0, r), RoundFeedback("ghost", 1.0, 1.0, r)]
     with pytest.raises(UnknownClientError):
         s.update_with_feedback(batch)
-    assert not s.view().records["a"].explored
+    assert not cells(s.view(), "a")["explored"]
 
 
 def test_stale_round_rejected():
@@ -82,11 +89,11 @@ def test_blacklist_at_threshold():
     s.register_client("b")
     for _ in range(9):
         feed(s, ("a", 1.0, 1.0))
-    rec = s.view().records["a"]
-    assert rec.times_selected == 9 and not rec.blacklisted
+    rec = cells(s.view(), "a")
+    assert rec["times_selected"] == 9 and not rec["blacklisted"]
     feed(s, ("a", 1.0, 1.0))
-    rec = s.view().records["a"]
-    assert rec.times_selected == 10 and rec.blacklisted
+    rec = cells(s.view(), "a")
+    assert rec["times_selected"] == 10 and rec["blacklisted"]
 
 
 def test_clip_caps_incoming_utilities():
@@ -97,9 +104,9 @@ def test_clip_caps_incoming_utilities():
     s.register_client("a")
     s.register_client("b")
     feed(s, ("a", 5.0, 1.0), ("b", 7.0, 1.0))
-    records = s.view().records
-    assert records["a"].stat_utility == 5.0
-    assert records["b"].stat_utility == 5.0
+    view = s.view()
+    assert cells(view, "a")["stat_utility"] == 5.0
+    assert cells(view, "b")["stat_utility"] == 5.0
 
 
 def test_clip_cap_spec_example_pair():
@@ -110,9 +117,9 @@ def test_clip_cap_spec_example_pair():
         s.register_client(cid)
     feed(s, ("c", 6.0, 1.0), ("d", 6.0, 1.0))
     feed(s, ("a", 5.0, 1.0), ("b", 7.0, 1.0))
-    records = s.view().records
-    assert records["a"].stat_utility == 5.0
-    assert records["b"].stat_utility == 6.0
+    view = s.view()
+    assert cells(view, "a")["stat_utility"] == 5.0
+    assert cells(view, "b")["stat_utility"] == 6.0
 
 
 def test_counters_never_decrease_and_blacklist_sticks():
@@ -121,8 +128,8 @@ def test_counters_never_decrease_and_blacklist_sticks():
     seen = []
     for _ in range(4):
         feed(s, ("a", 1.0, 1.0))
-        rec = s.view().records["a"]
-        seen.append((rec.times_selected, rec.blacklisted))
+        rec = cells(s.view(), "a")
+        seen.append((rec["times_selected"], rec["blacklisted"]))
     counts = [c for c, _ in seen]
     assert counts == sorted(counts)
     first_black = next(i for i, (_, b) in enumerate(seen) if b)
@@ -136,7 +143,7 @@ def test_store_size_constant_per_client():
     for _ in range(50):
         feed(s, *((f"c{i}", 1.0, 1.0) for i in range(5)))
     assert s.client_count == 5
-    assert len(s.snapshot().records) == 5
+    assert len(s.snapshot().table) == 5
 
 
 def test_duplicate_registration_rejected():
@@ -293,8 +300,8 @@ def test_round_trip_preserves_nan_free_floats():
     s.register_client("a")
     feed(s, ("a", 1e-17, 1e9))
     cp = Checkpoint.from_json(s.snapshot().to_json())
-    assert cp.records[0].stat_utility == 1e-17
-    assert cp.records[0].duration == 1e9
+    assert cp.table.stat_utility[0] == 1e-17
+    assert cp.table.duration[0] == 1e9
 
 
 def test_preferred_duration_nondecreasing():
@@ -475,6 +482,11 @@ def test_incremental_save_matches_the_full_renderer(ops):
             elif op == "save":
                 s.save(path)
                 assert_saved_file_matches(s, path)
+            view = s.view()
+            ids = view.table.ids
+            assert all(a < b for a, b in zip(ids, ids[1:]))
+            assert all(view.slots[cid] == row for row, cid in enumerate(ids))
+            assert len(view.slots) == len(ids)
             snapshots.append(s.snapshot())
         s.save(path)
         assert_saved_file_matches(s, path)
@@ -489,10 +501,10 @@ def test_view_does_not_see_later_writes_or_registrations():
     view = s.view()
     feed(s, ("a", 5.0, 2.0))
     s.register_client("b")
-    assert not view.records["a"].explored
-    assert list(view.records) == ["a"]
-    assert "b" not in view.records and len(view.table) == 1
-    assert s.view().records["a"].explored
+    assert not cells(view, "a")["explored"]
+    assert view.table.ids == ("a",) and list(view.slots) == ["a"]
+    assert "b" not in view.slots and len(view.table) == 1
+    assert cells(s.view(), "a")["explored"]
 
 
 def test_view_columns_are_read_only():
@@ -572,6 +584,7 @@ def corrupt(payload: dict, where: str, value) -> dict:
     ("records.times_selected", True),
     ("records.explored", 1),
     ("records.client_id", 7),
+    ("records.client_id", "b"),  # the id of the second record
     ("utility_history", []),
     ("utility_history", [math.nan]),
     ("preferred_duration", 0.0),
@@ -602,6 +615,33 @@ def test_checkpoint_record_with_missing_or_extra_field_rejected(tmp_path):
     for bad in (missing, extra):
         with pytest.raises(CheckpointError):
             Checkpoint.from_json(json.dumps(bad))
+
+
+def test_checkpoint_in_reverse_id_order_loads_sorted(tmp_path):
+    s = store()
+    for i in range(40):
+        s.register_client(f"c{i:02d}", speed_hint=None if i % 5 else 1.0 + i)
+    for r in range(3):
+        feed(s, *((f"c{i:02d}", 1.0 + i * r, 1.0 + i) for i in range(r, 40, 4)))
+    in_order, reversed_ = tmp_path / "in_order.json", tmp_path / "reversed.json"
+    s.save(str(in_order))
+    payload = json.loads(in_order.read_text())
+    payload["records"].reverse()
+    reversed_.write_text(json.dumps(payload, separators=(",", ":")))
+
+    t = store()
+    t.load(str(reversed_))
+    assert t.client_ids() == s.client_ids()
+    resaved = tmp_path / "resaved.json"
+    t.save(str(resaved))
+    assert resaved.read_bytes() == in_order.read_bytes()
+    from_reversed, from_sorted = store(), store()
+    from_reversed.load(str(reversed_))
+    from_sorted.load(str(in_order))
+    sel = TrainingSelector(SelectorConfig(pacer_step=10.0), seed=5)
+    r = s.round_index + 1
+    assert (sel.select_participants(from_reversed.view(), 12, r)[0]
+            == sel.select_participants(from_sorted.view(), 12, r)[0])
 
 
 def test_restore_rejects_inconsistent_checkpoint_untouched():

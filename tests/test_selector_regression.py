@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedsel.experiments import canonical_selector_config
-from fedsel.metastore import ClientRecord, MetaStore, RoundFeedback, StoreView
+from fedsel.metastore import ClientTable, MetaStore, RoundFeedback, StoreView
 from fedsel.training import (TrainingSelector, staleness_bonus, system_penalty,
                              weighted_sample_without_replacement)
 
@@ -111,7 +111,8 @@ def test_selection_properties(n, explored, rounds, threshold, hinted, k, seed,
     candidates = (data.draw(st.lists(st.sampled_from(ids)))
                   if use_candidates else None)
     view = store.view()
-    blacklisted = {cid for cid, rec in view.records.items() if rec.blacklisted}
+    blacklisted = {cid for cid, bad in zip(view.table.ids, view.table.blacklisted)
+                   if bad}
     pool = set(ids if candidates is None else candidates) - blacklisted
     cfg = canonical_selector_config(fairness_weight=fairness,
                                     noise_epsilon=noise)
@@ -164,27 +165,32 @@ def test_sampler_makes_the_draws_of_rng_choice(weights, k, seed):
 def test_breakdowns_equal_the_scalar_formulas_exactly(fairness):
     rng = np.random.default_rng(3)
     round_index, t_pref, alpha = 17, 20.0, 1.5
-    records = [ClientRecord(client_id=f"c{i:03d}", stat_utility=float(u),
-                            last_round=int(lr), duration=float(d),
-                            times_selected=int(ts), explored=True)
-               for i, (u, lr, d, ts) in enumerate(zip(
-                   rng.uniform(0, 40, 300), rng.integers(1, round_index + 1, 300),
-                   t_pref * rng.lognormal(0, 0.6, 300), rng.integers(1, 9, 300)))]
-    view = StoreView.from_records(records, round_index, t_pref)
+    ids = tuple(f"c{i:03d}" for i in range(300))
+    utility = rng.uniform(0, 40, 300)
+    last_round = rng.integers(1, round_index + 1, 300)
+    duration = t_pref * rng.lognormal(0, 0.6, 300)
+    times = rng.integers(1, 9, 300)
+    table = ClientTable(ids, speed_hint=np.full(300, np.nan),
+                        stat_utility=utility, last_round=last_round,
+                        duration=duration, times_selected=times,
+                        blacklisted=np.zeros(300, bool),
+                        explored=np.ones(300, bool))
+    view = StoreView(table, round_index, t_pref, (),
+                     {cid: row for row, cid in enumerate(ids)})
     cfg = canonical_selector_config(fairness_weight=fairness,
                                     straggler_penalty=alpha)
     downs = TrainingSelector(cfg).compute_breakdowns(view, round_index)
-    assert [b.client_id for b in downs] == [r.client_id for r in records]
+    assert [b.client_id for b in downs] == list(ids)
     bases = []
-    for rec, b in zip(records, downs):
-        stale = staleness_bonus(round_index, rec.last_round)
-        base = system_penalty(rec.stat_utility + stale, t_pref, rec.duration,
-                              alpha)
+    for u, lr, d, b in zip(utility.tolist(), last_round.tolist(),
+                           duration.tolist(), downs):
+        stale = staleness_bonus(round_index, lr)
+        base = system_penalty(u + stale, t_pref, d, alpha)
         assert b.staleness_bonus == stale
-        assert b.system_factor == base / (rec.stat_utility + stale)
+        assert b.system_factor == base / (u + stale)
         bases.append(base)
-    max_sel = max(r.times_selected for r in records)
-    raw = [float(max_sel - r.times_selected) for r in records]
+    max_sel = int(times.max())
+    raw = [float(max_sel - t) for t in times.tolist()]
     scale = max(bases) / max(raw)
     for b, base, r in zip(downs, bases, raw):
         fair = r * scale if fairness > 0 else 0.0

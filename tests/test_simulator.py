@@ -154,11 +154,11 @@ def test_feedback_reaches_store():
     view = session.store.view()
     for cid, utility, duration in zip(result.completers, result.utilities,
                                       result.durations):
-        rec = view.records[cid]
-        assert rec.explored
-        assert rec.last_round == 1
-        assert rec.duration == duration
-        assert rec.stat_utility <= utility  # clipping can only reduce
+        row = view.slots[cid]
+        assert view.table.explored[row]
+        assert view.table.last_round[row] == 1
+        assert view.table.duration[row] == duration
+        assert view.table.stat_utility[row] <= utility  # clipping can only reduce
 
 
 def test_gradient_norm_mode_runs():

@@ -416,6 +416,29 @@ def test_query_descriptor_with_representative_samples(tmp_path):
     assert len(body) == 3
 
 
+@pytest.mark.parametrize("descriptor", [
+    ["budget", "preference"],
+    "budget",
+    {"preference": [5, 5], "budget": 2.7},
+    {"preference": [5, 5], "budget": True},
+    {"preference": [5, 5], "budget": "2"},
+    {"representative_samples": 4.5, "budget": 2},
+    {"representative_samples": True, "budget": 2},
+    {"preference": [2.9, 2], "budget": 2},
+    {"preference": [True, 5], "budget": 2},
+    {"preference": {"0": 5, "1": 5}, "budget": 2},
+], ids=repr)
+def test_mistyped_query_descriptor_rejected(tmp_path, descriptor):
+    # Each of these used to run with a truncated or coerced value, or fail
+    # with a TypeError instead of a ValueError.
+    caps_path = tmp_path / "caps.tsv"
+    caps_path.write_text("client_id\tcategory\tcount\n"
+                         "a\t0\t60\nb\t1\t40\n")
+    ids, caps = read_capacity_file(str(caps_path))
+    with pytest.raises(ValueError, match="JSON object|must be"):
+        load_distribution_query(descriptor, ids, caps)
+
+
 def test_client_table_feeds_durations(tmp_path):
     caps_path = tmp_path / "caps.tsv"
     caps_path.write_text("client_id\tcategory\tcount\na\t0\t10\n")

@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fedsel.errors import EmptySelectionError
-from fedsel.metastore import ClientRecord, StoreView
+from fedsel.metastore import ClientTable, StoreView
 from fedsel.training import (SelectorConfig, TrainingSelector, clip_cap,
                              exploration_fraction, gradient_norm_utility,
                              aggregate_statistical_utility, pacer_tick,
@@ -22,23 +22,31 @@ from fedsel.training import (SelectorConfig, TrainingSelector, clip_cap,
 REL = 1e-4
 
 
-def make_view(records: list[ClientRecord], round_index: int = 10,
+def make_view(records: list[dict], round_index: int = 10,
               preferred_duration: float = 10.0) -> StoreView:
-    return StoreView.from_records(records, round_index=round_index,
-                                  preferred_duration=preferred_duration)
+    """A view over ``records`` (from :func:`explored` and :func:`fresh`)."""
+    records = sorted(records, key=lambda r: r["client_id"])
+    ids = tuple(r["client_id"] for r in records)
+    defaults = dict(speed_hint=math.nan, stat_utility=0.0, last_round=0,
+                    duration=0.0, times_selected=0, blacklisted=False,
+                    explored=False)
+    table = ClientTable(ids, **{name: [r.get(name, default) for r in records]
+                                for name, default in defaults.items()})
+    return StoreView(table, round_index, preferred_duration, (),
+                     {cid: row for row, cid in enumerate(ids)})
 
 
 def explored(cid: str, utility: float, duration: float = 5.0,
              last_round: int = 1, selected: int = 1,
-             speed: float | None = 1.0, blacklisted: bool = False) -> ClientRecord:
-    return ClientRecord(client_id=cid, speed_hint=speed, stat_utility=utility,
-                        last_round=last_round, duration=duration,
-                        times_selected=selected, blacklisted=blacklisted,
-                        explored=True)
+             speed: float | None = 1.0, blacklisted: bool = False) -> dict:
+    return dict(client_id=cid, speed_hint=math.nan if speed is None else speed,
+                stat_utility=utility, last_round=last_round, duration=duration,
+                times_selected=selected, blacklisted=blacklisted,
+                explored=True)
 
 
-def fresh(cid: str, speed: float | None = 1.0) -> ClientRecord:
-    return ClientRecord(client_id=cid, speed_hint=speed)
+def fresh(cid: str, speed: float | None = 1.0) -> dict:
+    return dict(client_id=cid, speed_hint=math.nan if speed is None else speed)
 
 
 # -- statistical utility -------------------------------------------------------
@@ -444,7 +452,7 @@ def test_system_blind_mode_ranks_by_stat_plus_staleness():
     sel = selector(straggler_penalty=0.0, exploration_factor=0.0)
     downs = sel.compute_breakdowns(view, 5)
     finals = {b.client_id: b.final_utility for b in downs}
-    expected = {r.client_id: r.stat_utility + staleness_bonus(5, 5)
+    expected = {r["client_id"]: r["stat_utility"] + staleness_bonus(5, 5)
                 for r in records}
     for cid in finals:
         assert finals[cid] == pytest.approx(expected[cid], rel=1e-12)
