@@ -6,7 +6,7 @@ from .errors import (BudgetExceededError, CheckpointError, EmptySelectionError,
                      UnknownClientError)
 from .metastore import Checkpoint, MetaStore, RoundFeedback, StoreView
 from .testing import (Assignment, DeviationQuery, DistributionQuery,
-                      compile_representative_preference, duration_of,
+                      compile_representative_preference,
                       estimate_participant_count, exact_milp, greedy_cover,
                       min_makespan_assignment, validate_assignment,
                       verify_bound_montecarlo)
@@ -28,7 +28,7 @@ __all__ = [
     "StoreView", "TableParseError", "TraceParseError", "TrainRecord",
     "TrainingSelector", "TrainingSession", "UnknownClientError",
     "UtilityBreakdown", "apply_trace", "clip_cap",
-    "compile_representative_preference", "corrupt_clients", "duration_of",
+    "compile_representative_preference", "corrupt_clients",
     "estimate_participant_count", "exact_milp", "exploration_fraction",
     "fairness_metrics", "generate_population", "gradient_norm_utility",
     "greedy_cover", "load_trace", "min_makespan_assignment", "pacer_tick",

@@ -3,9 +3,9 @@
 Serves two query shapes: a deviation bound ("how many participants keep the
 sample mean within a tolerance of the population mean") answered from a
 finite-population concentration bound, and a categorical preference vector
-answered by a greedy cover plus a makespan-minimizing assignment. A
-branch-and-bound exact solver doubles as the correctness oracle on small
-instances.
+answered by a greedy cover plus a makespan-minimizing assignment. An exact
+solver, a threshold search over completion times, doubles as the correctness
+oracle on small instances.
 """
 
 from __future__ import annotations
@@ -156,24 +156,6 @@ class Assignment:
     @property
     def participant_count(self) -> int:
         return sum(1 for counts in self.samples.values() if any(c > 0 for c in counts))
-
-
-def duration_of(samples: Mapping[str, Sequence[int]],
-                speeds: Mapping[str, float],
-                bandwidths: Mapping[str, float],
-                transfer_sizes: Mapping[str, float]) -> float:
-    """Makespan: the slowest participant's compute plus transfer time."""
-    worst = 0.0
-    for cid, counts in samples.items():
-        total = int(sum(counts))
-        if total <= 0:
-            continue
-        speed = speeds[cid]
-        bandwidth = bandwidths[cid]
-        if speed <= 0 or bandwidth <= 0:
-            raise ValueError(f"client {cid!r} needs positive speed and bandwidth")
-        worst = max(worst, total / speed + transfer_sizes[cid] / bandwidth)
-    return worst
 
 
 def validate_assignment(query: DistributionQuery, assignment: Assignment) -> None:
@@ -339,9 +321,8 @@ def greedy_cover(query: DistributionQuery) -> Assignment:
     """Two-phase heuristic: greedy subset cover, then makespan optimization.
 
     Phase 1 repeatedly picks the client contributing the most samples toward
-    the not-yet-satisfied categories. Phase 2 minimizes the makespan over the
-    chosen subset (budget constraint dropped) by bisecting the makespan with
-    an exact flow feasibility check.
+    the not-yet-satisfied categories. Phase 2 is :func:`min_makespan_assignment`
+    over the chosen subset (budget constraint dropped).
     """
     caps = _effective_capacities(query)
     _check_capacity(query, caps)
@@ -371,13 +352,12 @@ def greedy_cover(query: DistributionQuery) -> Assignment:
 
 def exact_milp(query: DistributionQuery, max_clients: int = 20,
                max_categories: int = 5) -> Assignment:
-    """Globally optimal makespan by branch-and-bound over client inclusion.
+    """Globally optimal makespan by threshold search over completion times.
 
-    Each node is bounded by the budget-free optimum over its still-allowed
-    clients (a relaxation, since dropping clients never helps); when that
-    relaxed solution already uses no more participants than the budget, the
-    node is solved outright. Exhaustion certifies optimality. Guarded to
-    small instances; use :func:`greedy_cover` beyond the guard.
+    At each trial makespan, :func:`_cover_within` seeks a client set within
+    the budget that passes every cut row of :func:`_cut_rows`; the set found
+    at the smallest such time is assigned by :func:`min_makespan_assignment`.
+    Guarded to small instances; use :func:`greedy_cover` beyond the guard.
     """
     if query.n_clients > max_clients or query.n_categories > max_categories:
         raise SizeGuardError(
@@ -386,56 +366,20 @@ def exact_milp(query: DistributionQuery, max_clients: int = 20,
             f"({max_clients} x {max_categories})")
     caps = _effective_capacities(query)
     _check_capacity(query, caps)
-
     budget = min(query.budget, query.n_clients)
-    order = sorted(range(query.n_clients),
-                   key=lambda i: (-int(caps[i].sum()), query.client_ids[i]))
-    best: dict[str, object] = {"value": math.inf, "assignment": None}
-    try:
-        seed_assign = greedy_cover(query)
-        best["value"] = seed_assign.objective_seconds
-        best["assignment"] = seed_assign
-    except BudgetExceededError:
-        pass
-
-    def capacity_ok(indices: list[int]) -> bool:
-        if not indices:
-            return bool(query.preference.sum() == 0)
-        total = caps[indices].sum(axis=0)
-        return bool(np.all(total >= query.preference))
-
-    def recurse(pos: int, included: list[int],
-                relaxed: Assignment | None = None) -> None:
-        if len(included) > budget:
-            return
-        # An include child gets its parent's ``relaxed``: it has the same
-        # client set, and ``best`` has not moved since the parent solved that
-        # set without pruning or accepting it, so re-solving would only give
-        # the same answers again.
-        if relaxed is None:
-            avail = included + order[pos:]
-            if not capacity_ok(avail):
-                return
-            relaxed = min_makespan_assignment(query, sorted(avail))
-            if relaxed.objective_seconds >= best["value"] - 1e-12:
-                return
-            if relaxed.participant_count <= budget:
-                best["value"] = relaxed.objective_seconds
-                best["assignment"] = relaxed
-                return
-        if pos == len(order):
-            # avail == included and its relaxed optimum respects the budget
-            # by construction of the guard above, so it was handled already.
-            return
-        recurse(pos + 1, included + [order[pos]], relaxed)
-        recurse(pos + 1, included)
-
-    recurse(0, [])
-    assignment = best["assignment"]
-    if assignment is None:
-        raise InfeasibleQueryError(
-            {int(i): int(query.preference[i]) for i in range(query.n_categories)})
-    return assignment  # type: ignore[return-value]
+    row_sums, need = _cut_rows(caps, query.preference)
+    row_caps, speeds = caps.sum(axis=1), query.speeds
+    transfers = _transfer_times(query, range(query.n_clients))
+    chosen = _cover_within(row_caps, row_sums, need, budget)
+    if chosen is None:
+        raise InfeasibleQueryError(dict(enumerate(query.preference.tolist())))
+    sizes = np.minimum(row_caps, int(query.preference.sum()))
+    hi = float(np.max(sizes[chosen] / speeds[chosen] + transfers[chosen]))
+    chosen = _threshold_search(
+        lambda t: _cover_within(_caps_at(t, speeds, transfers, row_caps),
+                                row_sums, need, budget),
+        chosen, hi, speeds, transfers, sizes)
+    return min_makespan_assignment(query, sorted(chosen))
 
 
 # -- internals ----------------------------------------------------------------
@@ -531,24 +475,14 @@ def min_makespan_assignment(query: DistributionQuery,
                             subset: list[int]) -> Assignment:
     """Budget-free minimum makespan over the given clients.
 
-    Bisects the makespan with a flow feasibility check at every probe. Small
-    instances bisect the exact discrete set of achievable completion times;
-    large ones bisect the continuum, which converges to the same assignment
-    up to a negligible interval.
+    Searches the makespan (:func:`_threshold_search`) with a flow
+    feasibility check at every probe.
     """
     caps_sub = _effective_capacities(query)[subset]
     preference = query.preference
-    speeds = query.speeds[subset]
-    transfers = _transfer_times(query, subset)
+    speeds, transfers = query.speeds[subset], _transfer_times(query, subset)
     row_caps = caps_sub.sum(axis=1)
     demand = int(preference.sum())
-
-    def caps_at(makespan: float) -> np.ndarray:
-        slack = makespan - transfers
-        usable = (slack > 0) & (speeds > 0)
-        totals = np.zeros(len(subset), dtype=np.int64)
-        totals[usable] = np.floor(slack[usable] * speeds[usable] + 1e-9).astype(np.int64)
-        return np.minimum(totals, row_caps)
 
     baseline = _feasible_flow(caps_sub, row_caps, preference)
     if baseline is None:
@@ -560,38 +494,100 @@ def min_makespan_assignment(query: DistributionQuery,
     hi = _makespan(baseline, speeds, transfers)
     if demand == 0 or hi == 0.0:
         return _to_assignment(query, subset, baseline, speeds, transfers)
+    best_flow = _threshold_search(
+        lambda t: _feasible_flow(
+            caps_sub, _caps_at(t, speeds, transfers, row_caps), preference),
+        baseline, hi, speeds, transfers, np.minimum(row_caps, demand))
+    return _to_assignment(query, subset, best_flow, speeds, transfers)
 
-    best_flow = baseline
-    sizes = np.minimum(row_caps, demand)
+
+def _caps_at(makespan: float, speeds: np.ndarray, transfers: np.ndarray,
+             row_caps: np.ndarray) -> np.ndarray:
+    """Samples each client can train on and upload within ``makespan`` seconds."""
+    slack = makespan - transfers
+    usable = (slack > 0) & (speeds > 0)
+    totals = np.zeros(len(speeds), dtype=np.int64)
+    totals[usable] = np.floor(slack[usable] * speeds[usable] + 1e-9).astype(np.int64)
+    return np.minimum(totals, row_caps)
+
+
+def _threshold_search(probe, witness, hi: float, speeds: np.ndarray,
+                      transfers: np.ndarray, sizes: np.ndarray):
+    """Result of ``probe`` at the smallest makespan where it is not None.
+
+    ``witness`` is its result at ``hi``. Up to 50k samples in all, this
+    bisects the completion times ``k / speed + transfer`` (k = 1..sizes) up to
+    ``hi``, one of which is optimal; beyond, it bisects the continuum, which
+    converges to the same result up to a negligible interval.
+    """
     if int(sizes.sum()) <= 50_000:
-        # Exact: the optimum is one of the per-client completion times.
-        candidates: set[float] = set()
-        for j in range(len(subset)):
-            if speeds[j] > 0 and math.isfinite(transfers[j]):
-                ks = np.arange(1, int(sizes[j]) + 1, dtype=float)
-                candidates.update((ks / speeds[j] + transfers[j]).tolist())
-        points = sorted(c for c in candidates if c <= hi + 1e-12)
+        times = [np.arange(1, size + 1) / speed + transfer
+                 for size, speed, transfer in zip(sizes, speeds, transfers)
+                 if speed > 0 and math.isfinite(transfer)]
+        points = sorted({t for t in np.concatenate(times).tolist()
+                         if t <= hi + 1e-12})
         lo_i, hi_i = 0, len(points) - 1
         while lo_i < hi_i:
             mid_i = (lo_i + hi_i) // 2
-            flow = _feasible_flow(caps_sub, caps_at(points[mid_i]), preference)
-            if flow is not None:
-                best_flow, hi_i = flow, mid_i
+            found = probe(points[mid_i])
+            if found is not None:
+                witness, hi_i = found, mid_i
             else:
                 lo_i = mid_i + 1
-        return _to_assignment(query, subset, best_flow, speeds, transfers)
-
+        return witness
     lo = 0.0
     for _ in range(_BISECT_STEPS):
         mid = 0.5 * (lo + hi)
-        flow = _feasible_flow(caps_sub, caps_at(mid), preference)
-        if flow is not None:
-            best_flow, hi = flow, mid
+        found = probe(mid)
+        if found is not None:
+            witness, hi = found, mid
         else:
             lo = mid
         if hi - lo <= 1e-12 * max(1.0, hi):
             break
-    return _to_assignment(query, subset, best_flow, speeds, transfers)
+    return witness
+
+
+def _cut_rows(caps: np.ndarray,
+              preference: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Capacity per client and demand of each nonempty set of wanted categories.
+
+    Column r is the set given by the bits of r + 1. By min-cut (Gale's
+    supply-demand theorem), clients that send at most ``t`` samples each meet
+    the preference exactly when ``np.minimum(t[:, None], row_sums).sum(axis=0)
+    >= need`` holds in every column.
+    """
+    wanted = np.flatnonzero(preference > 0)
+    sets = np.arange(1, 2 ** wanted.size)
+    members = (sets[None, :] >> np.arange(wanted.size)[:, None]) & 1
+    return caps[:, wanted] @ members, preference[wanted] @ members
+
+
+def _cover_within(totals: np.ndarray, row_sums: np.ndarray, need: np.ndarray,
+                  budget: int) -> list[int] | None:
+    """At most ``budget`` clients passing every cut row, or None.
+
+    Depth-first over the clients by falling total value, each tried in before
+    it is left out. A node is pruned when, in some row, the best ``slots``
+    values still to come cannot meet the residual need. Plain lists, as
+    numpy's sort kernels would add their pages to the resident set.
+    """
+    values = np.minimum(totals[:, None], row_sums).tolist()
+    order = sorted(range(len(values)), key=lambda c: -sum(values[c]))
+    rows = [[values[c][r] for c in order] for r in range(len(need))]  # per cut row
+
+    def search(pos: int, slots: int, residual: list[int]) -> list[int] | None:
+        if all(v <= 0 for v in residual):
+            return []
+        if any(sum(sorted(row[pos:], reverse=True)[:slots]) < v
+               for row, v in zip(rows, residual)):
+            return None
+        client = order[pos]
+        found = search(pos + 1, slots - 1,
+                       [v - w for v, w in zip(residual, values[client])])
+        return [client] + found if found is not None else search(pos + 1, slots, residual)
+
+    return search(0, budget, need.tolist())
 
 
 def _makespan(assign: np.ndarray, speeds: np.ndarray,

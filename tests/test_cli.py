@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import pytest
 from click.testing import CliRunner
@@ -263,3 +264,17 @@ def test_bench_cover_table(runner, tmp_path):
     n5 = lines[1].split("\t")
     assert float(n5[4]) >= 1.0 - 1e-9
     assert lines[2].split("\t")[3] == "guarded"
+
+
+def test_bench_cover_solves_exact_at_greedy_budget(runner, tmp_path):
+    out = tmp_path / "bench.tsv"
+    result = runner.invoke(main, ["bench-cover", "--sizes", "5,8",
+                                  "--seeds", "0,1", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    counts = re.findall(r"greedy [\d.]+ ms \((\d+) participants\), "
+                        r"exact [\d.]+ ms \((\d+) participants\)", result.output)
+    rows = out.read_text().splitlines()[1:]
+    assert len(counts) == len(rows) == 4
+    for (greedy, exact), row in zip(counts, rows):
+        assert int(exact) <= int(greedy)
+        assert float(row.split("\t")[4]) >= 1.0 - 1e-9

@@ -2,19 +2,22 @@
 
 The golden digests fold every cell of each assignment plus
 ``repr(objective_seconds)``, so any change to the flow network, the probe
-sequence or the branch-and-bound search that moves a single sample or the
+sequence or the exact threshold search that moves a single sample or the
 last bit of a makespan shows up here. They cover both bisection paths of
 ``min_makespan_assignment`` and the exact solver.
 
 The flow network and the transfer times are also checked against the
-per-edge and per-client loops they replaced, and the solvers' invariants are
-property-tested on small random queries.
+per-edge and per-client loops they replaced, the exact solver against the
+branch-and-bound it replaced, and the cut rows of its covering test against
+the flow feasibility check. The solvers' invariants are property-tested on
+small random queries.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -46,7 +49,7 @@ def exact_digest(shape: tuple[int, int], seeds: tuple[int, ...]) -> str:
     digest = hashlib.sha256()
     for seed in seeds:
         query = _random_query(*shape, seed)
-        # Budget at greedy's participant count, so the search must branch.
+        # Budget at greedy's participant count, so the budget binds.
         query = dataclasses.replace(
             query, budget=testing.greedy_cover(query).participant_count)
         fold(digest, testing.exact_milp(query))
@@ -236,3 +239,118 @@ def test_exact_is_valid_and_never_worse_than_greedy(query):
         testing.validate_assignment(query, greedy)
         assert exact.objective_seconds \
             <= greedy.objective_seconds * (1 + 1e-9)
+
+
+# -- exact solver against the branch-and-bound reference ----------------------
+
+
+def reference_branch_and_bound(query: testing.DistributionQuery
+                               ) -> testing.Assignment:
+    """The exact solver this module used to ship: branch-and-bound over clients.
+
+    Each node is bounded by the budget-free optimum over its still-allowed
+    clients (a relaxation, since dropping clients never helps); when that
+    relaxed solution already uses no more participants than the budget, the
+    node is solved outright. Greedy's cover, when within the budget, seeds
+    the incumbent. Exhaustion certifies optimality.
+    """
+    caps = testing._effective_capacities(query)
+    testing._check_capacity(query, caps)
+    budget = min(query.budget, query.n_clients)
+    order = sorted(range(query.n_clients),
+                   key=lambda i: (-int(caps[i].sum()), query.client_ids[i]))
+    best: dict[str, object] = {"value": math.inf, "assignment": None}
+    try:
+        seed_assign = testing.greedy_cover(query)
+        best["value"] = seed_assign.objective_seconds
+        best["assignment"] = seed_assign
+    except BudgetExceededError:
+        pass
+
+    def capacity_ok(indices: list[int]) -> bool:
+        if not indices:
+            return bool(query.preference.sum() == 0)
+        return bool(np.all(caps[indices].sum(axis=0) >= query.preference))
+
+    def recurse(pos: int, included: list[int], relaxed=None) -> None:
+        if len(included) > budget:
+            return
+        # An include child shares its parent's client set, and so its
+        # relaxation.
+        if relaxed is None:
+            avail = included + order[pos:]
+            if not capacity_ok(avail):
+                return
+            relaxed = testing.min_makespan_assignment(query, sorted(avail))
+            if relaxed.objective_seconds >= best["value"] - 1e-12:
+                return
+            if relaxed.participant_count <= budget:
+                best["value"] = relaxed.objective_seconds
+                best["assignment"] = relaxed
+                return
+        if pos == len(order):
+            return
+        recurse(pos + 1, included + [order[pos]], relaxed)
+        recurse(pos + 1, included)
+
+    recurse(0, [])
+    if best["assignment"] is None:
+        raise InfeasibleQueryError(dict(enumerate(query.preference.tolist())))
+    return best["assignment"]  # type: ignore[return-value]
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_queries())
+def test_exact_makespan_equals_branch_and_bound(query):
+    try:
+        want = reference_branch_and_bound(query)
+    except InfeasibleQueryError:
+        with pytest.raises(InfeasibleQueryError):
+            testing.exact_milp(query)
+        return
+    got = testing.exact_milp(query)
+    assert got.objective_seconds == want.objective_seconds
+    assert got.participant_count <= query.budget
+
+
+@st.composite
+def cut_row_cases(draw):
+    """A small query, a client subset and a completion time of one of them."""
+    query = draw(small_queries())
+    subset = sorted(draw(st.sets(st.integers(0, query.n_clients - 1),
+                                 min_size=1)))
+    caps_sub = testing._effective_capacities(query)[subset]
+    speeds = query.speeds[subset]
+    transfers = testing._transfer_times(query, subset)
+    j = draw(st.integers(0, len(subset) - 1))
+    makespan = draw(st.integers(0, 8)) / speeds[j] + transfers[j]
+    totals = testing._caps_at(makespan, speeds, transfers, caps_sub.sum(axis=1))
+    return caps_sub, totals, query.preference
+
+
+def passes_cut_rows(caps_sub, totals, preference) -> bool:
+    row_sums, need = testing._cut_rows(caps_sub, preference)
+    return bool(np.all(np.minimum(totals[:, None], row_sums).sum(axis=0) >= need))
+
+
+@settings(max_examples=300, deadline=None)
+@given(cut_row_cases())
+def test_cut_rows_agree_with_flow_feasibility(case):
+    caps_sub, totals, preference = case
+    assert passes_cut_rows(caps_sub, totals, preference) \
+        == (testing._feasible_flow(caps_sub, totals, preference) is not None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cut_row_cases(), st.integers(1, 6))
+def test_cover_search_matches_exhaustive_subsets(case, budget):
+    caps_sub, totals, preference = case
+    row_sums, need = testing._cut_rows(caps_sub, preference)
+    found = testing._cover_within(totals, row_sums, need, budget)
+    exists = any(passes_cut_rows(caps_sub[list(s)], totals[list(s)], preference)
+                 for size in range(1, budget + 1)
+                 for s in itertools.combinations(range(len(totals)), size))
+    assert (found is not None) == exists
+    if found is not None:
+        assert len(set(found)) == len(found) <= budget
+        assert passes_cut_rows(caps_sub[found], totals[found], preference)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from typing import Mapping, Sequence
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from fedsel.errors import (BudgetExceededError, InfeasibleQueryError,
                            SizeGuardError)
 from fedsel.testing import (Assignment, DeviationQuery, DistributionQuery,
                             min_makespan_assignment,
-                            compile_representative_preference, duration_of,
+                            compile_representative_preference,
                             estimate_participant_count, exact_milp,
                             greedy_cover, load_distribution_query,
                             read_capacity_file, read_client_table,
@@ -141,6 +142,24 @@ def simple_query(caps, preference, budget=None, speeds=None, bandwidths=None,
         bandwidths=np.asarray(bandwidths if bandwidths is not None else [1e6] * n),
         transfer_sizes=np.asarray(transfers if transfers is not None else [1e6] * n),
     )
+
+
+def duration_of(samples: Mapping[str, Sequence[int]],
+                speeds: Mapping[str, float],
+                bandwidths: Mapping[str, float],
+                transfer_sizes: Mapping[str, float]) -> float:
+    """Makespan oracle: the slowest participant's compute plus transfer time."""
+    worst = 0.0
+    for cid, counts in samples.items():
+        total = int(sum(counts))
+        if total <= 0:
+            continue
+        speed = speeds[cid]
+        bandwidth = bandwidths[cid]
+        if speed <= 0 or bandwidth <= 0:
+            raise ValueError(f"client {cid!r} needs positive speed and bandwidth")
+        worst = max(worst, total / speed + transfer_sizes[cid] / bandwidth)
+    return worst
 
 
 def test_duration_of_hand_example():
