@@ -19,9 +19,12 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_flow
 
 from .errors import (BudgetExceededError, InfeasibleQueryError, SizeGuardError,
-                     TableParseError, read_table)
+                     TableParseError, read_table, require_finite)
 
 _BISECT_STEPS = 80
+# Trials per Monte-Carlo draw times distinct count values: one block's
+# held-count matrix stays about 0.5 MB.
+_BLOCK_CELLS = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -39,6 +42,8 @@ class DeviationQuery:
 
     def __post_init__(self):
         lo, hi = self.sample_count_range
+        require_finite(tolerance=self.tolerance, sample_count_min=lo,
+                       sample_count_max=hi)
         if not hi > lo:
             raise ValueError("sample_count_range max must exceed min")
         if not 0.0 < self.confidence < 1.0:
@@ -71,11 +76,19 @@ def verify_bound_montecarlo(query: DeviationQuery,
 
     Draws ``trials`` simple random samples of ``n`` clients without
     replacement and reports the fraction whose sample mean deviates from the
-    population mean by at least the query tolerance.
+    population mean by at least the query tolerance. A sample's mean depends
+    only on how many of its clients hold each distinct count, and those
+    numbers are multivariate hypergeometric over the count multiplicities, so
+    each trial draws them (in blocks of trials) instead of ``n`` client ids.
     """
+    for name, value in (("n", n), ("trials", trials)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     counts = np.asarray(population_counts, dtype=float)
     if counts.shape != (query.population,):
         raise ValueError("population_counts must have one entry per client")
+    if not np.all(np.isfinite(counts)):
+        raise ValueError("population counts must be finite")
     lo, hi = query.sample_count_range
     if counts.min() < lo or counts.max() > hi:
         raise ValueError("population counts fall outside the declared range")
@@ -83,13 +96,18 @@ def verify_bound_montecarlo(query: DeviationQuery,
         raise ValueError("n must be in [1, population]")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if n == query.population:
+        return 0.0  # every sample is the whole population
     rng = np.random.default_rng(seed)
+    values, multiplicity = np.unique(counts, return_counts=True)
     pop_mean = counts.mean()
+    block = max(1, _BLOCK_CELLS // values.size)
     violations = 0
-    for _ in range(trials):
-        sample = counts[rng.choice(counts.size, size=n, replace=False)]
-        if abs(sample.mean() - pop_mean) >= query.tolerance:
-            violations += 1
+    for start in range(0, trials, block):
+        held = rng.multivariate_hypergeometric(
+            multiplicity, n, size=min(block, trials - start), method="count")
+        deviation = np.abs(held @ values / n - pop_mean)
+        violations += int(np.count_nonzero(deviation >= query.tolerance))
     return violations / trials
 
 

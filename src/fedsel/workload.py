@@ -134,15 +134,6 @@ def client_ids_for(count: int) -> list[str]:
     return [f"c{i:0{width}d}" for i in range(count)]
 
 
-def sample_count_cdf(spec: PopulationSpec, value: int) -> float:
-    """Exact CDF of the clamped, floored power-law sample-count draw."""
-    if value < spec.sample_min:
-        return 0.0
-    if value >= spec.sample_max:
-        return 1.0
-    return 1.0 - (spec.sample_min / (value + 1)) ** (spec.sample_exponent - 1.0)
-
-
 def _draw_sample_counts(rng: np.random.Generator, spec: PopulationSpec,
                         n: int) -> np.ndarray:
     u = rng.random(n)
@@ -214,20 +205,6 @@ def generate_population(spec: PopulationSpec) -> SimWorld:
                     corrupted=np.zeros(spec.client_count, dtype=bool),
                     class_count=c, feature_dim=d, test_features=test_features,
                     test_labels=test_labels, seed=spec.seed)
-
-
-def pairwise_l1_divergence(world: SimWorld, pairs: int = 2000,
-                           seed: int = 0) -> np.ndarray:
-    """L1 distances between the label distributions of random client pairs."""
-    rng = np.random.default_rng(seed)
-    dists = world.label_counts().astype(float)
-    totals = dists.sum(axis=1, keepdims=True)
-    totals[totals == 0] = 1.0
-    dists /= totals
-    a = rng.integers(0, len(dists), size=pairs)
-    b = rng.integers(0, len(dists), size=pairs)
-    keep = a != b
-    return np.abs(dists[a[keep]] - dists[b[keep]]).sum(axis=1)
 
 
 @dataclass(frozen=True)

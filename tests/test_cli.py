@@ -207,6 +207,48 @@ def test_compose_testset_infeasible_lists_shortfall(runner, tmp_path):
     assert not out.exists()
 
 
+def write_overrun_query(tmp_path, budget):
+    # Greedy opens with the balanced client c and then needs both a and b;
+    # a and b alone cover the preference.
+    caps = tmp_path / "caps.tsv"
+    caps.write_text("client_id\tcategory\tcount\n"
+                    "a\t0\t9\nb\t1\t9\nc\t0\t5\nc\t1\t5\n")
+    query = tmp_path / "query.json"
+    query.write_text(json.dumps({"preference": [9, 9], "budget": budget}))
+    return str(query), str(caps)
+
+
+def test_compose_testset_exact_covers_within_budget_greedy_overruns(runner,
+                                                                     tmp_path):
+    query, caps = write_overrun_query(tmp_path, budget=2)
+    out = tmp_path / "assign.tsv"
+    args = ["compose-testset", "--query", query, "--capacities", caps,
+            "--out", str(out)]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1, result.output
+    assert "cover needs 3 participants, budget is 2" in result.output
+    assert not out.exists()
+
+    result = runner.invoke(main, args + ["--exact"])
+    assert result.exit_code == 0, result.output
+    assert "greedy: cover needs 3 participants, budget is 2" in result.output
+    assert "participants = 2" in result.output
+    assert out.read_text() == ("client_id\tcategory\tsamples\n"
+                               "a\t0\t9\nb\t1\t9\n")
+
+
+def test_compose_testset_exact_without_cover_keeps_budget_error(runner, tmp_path):
+    query, caps = write_overrun_query(tmp_path, budget=1)
+    out = tmp_path / "assign.tsv"
+    result = runner.invoke(main, ["compose-testset", "--query", query,
+                                  "--capacities", caps, "--out", str(out),
+                                  "--exact"])
+    assert result.exit_code == 1, result.output
+    assert "budget is 1" in result.output
+    assert "no cover within it" in result.output
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("case", ["bad_capacity", "nan_speed", "malformed_query"])
 def test_compose_testset_bad_input_is_a_usage_error(runner, tmp_path, case):
     query, caps = write_query_files(tmp_path)

@@ -126,6 +126,95 @@ def test_montecarlo_rejects_out_of_range_population():
         verify_bound_montecarlo(dq(), np.full(1000, 150.0), n=10, trials=10)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_montecarlo_rejects_non_finite_counts(bad):
+    counts = np.linspace(0, 100, 50)
+    counts[7] = bad
+    with pytest.raises(ValueError, match="finite"):
+        verify_bound_montecarlo(dq(population=50), counts, n=10, trials=10)
+
+
+@pytest.mark.parametrize("name", ["n", "trials"])
+@pytest.mark.parametrize("bad", [True, 10.0, "10", None])
+def test_montecarlo_rejects_non_integer_sizes(name, bad):
+    args = {"n": 10, "trials": 10, name: bad}
+    with pytest.raises(ValueError, match=name):
+        verify_bound_montecarlo(dq(population=50), np.linspace(0, 100, 50),
+                                **args)
+
+
+def test_montecarlo_accepts_numpy_integer_sizes():
+    rate = verify_bound_montecarlo(dq(population=50), np.linspace(0, 100, 50),
+                                   n=np.int64(10), trials=np.int32(10))
+    assert 0.0 <= rate <= 1.0
+
+
+@pytest.mark.parametrize("field", [
+    {"tolerance": math.inf},
+    {"rng": (0.0, math.inf)},
+    {"rng": (-math.inf, 100.0)},
+    {"tolerance": math.nan},
+])
+def test_deviation_query_rejects_non_finite(field):
+    with pytest.raises(ValueError):
+        dq(**field)
+
+
+def montecarlo_reference(query, counts, n, trials, seed=0):
+    """Violation rate from one index sample per trial, the direct reading."""
+    counts = np.asarray(counts, dtype=float)
+    rng = np.random.default_rng(seed)
+    pop_mean = counts.mean()
+    violations = 0
+    for _ in range(trials):
+        sample = counts[rng.choice(counts.size, size=n, replace=False)]
+        if abs(sample.mean() - pop_mean) >= query.tolerance:
+            violations += 1
+    return violations / trials
+
+
+def exact_violation_probability(counts, n, tolerance):
+    """Share of all n-subsets whose mean deviates by at least ``tolerance``."""
+    counts = np.asarray(counts, dtype=float)
+    deviations = np.array([abs(counts[list(s)].mean() - counts.mean())
+                           for s in itertools.combinations(range(counts.size), n)])
+    # No subset may sit on the boundary, where rounding would decide it.
+    assert np.min(np.abs(deviations - tolerance)) > 1e-6
+    return float(np.mean(deviations >= tolerance))
+
+
+SMALL_POPULATIONS = {
+    "duplicate_integers": ([3, 3, 3, 7, 7, 10, 10, 10, 10, 15, 20, 20], 2.5),
+    "distinct_floats": (np.random.default_rng(11).uniform(0, 20, 12).round(3).tolist(),
+                        2.0),
+}
+
+
+@pytest.mark.parametrize("sampler", [verify_bound_montecarlo, montecarlo_reference],
+                         ids=["counts", "reference"])
+@pytest.mark.parametrize("population", sorted(SMALL_POPULATIONS))
+def test_montecarlo_rate_matches_enumeration(sampler, population):
+    counts, tolerance = SMALL_POPULATIONS[population]
+    n, trials = 5, 40_000
+    exact = exact_violation_probability(counts, n, tolerance)
+    assert 0.1 < exact < 0.9
+    q = DeviationQuery(tolerance=tolerance, population=len(counts),
+                       sample_count_range=(0.0, 20.0))
+    rate = sampler(q, counts, n, trials, seed=4)
+    sigma = math.sqrt(exact * (1 - exact) / trials)
+    assert abs(rate - exact) <= 4 * sigma, (rate, exact, sigma)
+
+
+def test_montecarlo_whole_population_is_exact():
+    # Tolerance far below the rounding of any mean, so only the exact
+    # identity of sample and population can report no violation.
+    counts = np.random.default_rng(5).uniform(0, 100, 300)
+    q = DeviationQuery(tolerance=1e-300, population=300,
+                       sample_count_range=(0.0, 100.0))
+    assert verify_bound_montecarlo(q, counts, n=300, trials=50) == 0.0
+    assert verify_bound_montecarlo(q, counts, n=299, trials=50) == 1.0
+
+
 # -- distribution queries ------------------------------------------------------------
 
 def simple_query(caps, preference, budget=None, speeds=None, bandwidths=None,

@@ -12,9 +12,31 @@ import pytest
 from fedsel.errors import TraceParseError
 from fedsel.experiments import canonical_population_spec
 from fedsel.simulation import corrupt_clients
-from fedsel.workload import (PopulationSpec, apply_trace, client_ids_for,
-                             generate_population, load_trace,
-                             pairwise_l1_divergence, sample_count_cdf)
+from fedsel.workload import (PopulationSpec, SimWorld, apply_trace,
+                             client_ids_for, generate_population, load_trace)
+
+
+def sample_count_cdf(s: PopulationSpec, value: int) -> float:
+    """Exact CDF of the clamped, floored power-law sample-count draw."""
+    if value < s.sample_min:
+        return 0.0
+    if value >= s.sample_max:
+        return 1.0
+    return 1.0 - (s.sample_min / (value + 1)) ** (s.sample_exponent - 1.0)
+
+
+def pairwise_l1_divergence(world: SimWorld, pairs: int = 2000,
+                           seed: int = 0) -> np.ndarray:
+    """L1 distances between the label distributions of random client pairs."""
+    rng = np.random.default_rng(seed)
+    dists = world.label_counts().astype(float)
+    totals = dists.sum(axis=1, keepdims=True)
+    totals[totals == 0] = 1.0
+    dists /= totals
+    a = rng.integers(0, len(dists), size=pairs)
+    b = rng.integers(0, len(dists), size=pairs)
+    keep = a != b
+    return np.abs(dists[a[keep]] - dists[b[keep]]).sum(axis=1)
 
 
 def spec(**overrides) -> PopulationSpec:
