@@ -101,7 +101,7 @@ def simulate_train(config_path, policies, seeds, k, target, out_dir, verbose):
 @click.option("--population", type=int, required=True, help="Total clients N.")
 @click.option("--range-min", type=float, required=True)
 @click.option("--range-max", type=float, required=True)
-@click.option("--validate", "trials", type=int, default=0,
+@click.option("--validate", "trials", type=click.IntRange(min=0), default=0,
               help="Monte-Carlo trials to check the bound empirically.")
 @click.option("--seed", type=int, default=0, show_default=True)
 def estimate_count(epsilon, delta, population, range_min, range_max, trials, seed):

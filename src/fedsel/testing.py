@@ -21,7 +21,10 @@ from scipy.sparse.csgraph import maximum_flow
 from .errors import (BudgetExceededError, InfeasibleQueryError, SizeGuardError,
                      TableParseError, read_table, require_finite)
 
-_BISECT_STEPS = 80
+# Largest instance, clients x categories, the exact solver accepts.
+_EXACT_MAX_CLIENTS, _EXACT_MAX_CATEGORIES = 20, 5
+# (speed, bandwidth, transfer_bytes) of a client missing from the client table.
+_DEFAULT_CLIENT = (10.0, 1e6, 1e6)
 # Trials per Monte-Carlo draw times distinct count values: one block's
 # held-count matrix stays about 0.5 MB.
 _BLOCK_CELLS = 2 ** 16
@@ -50,6 +53,9 @@ class DeviationQuery:
             raise ValueError("confidence must be in (0, 1)")
         if not self.tolerance > 0:
             raise ValueError("tolerance must be > 0")
+        if isinstance(self.population, bool) \
+                or not isinstance(self.population, (int, np.integer)):
+            raise ValueError(f"population must be an integer, got {self.population!r}")
         if self.population < 1:
             raise ValueError("population must be >= 1")
 
@@ -270,15 +276,13 @@ def _int_at_least(value: object, name: str, least: int) -> int:
 def load_distribution_query(descriptor: dict, client_ids: list[str],
                             capacities: np.ndarray,
                             client_table: Mapping[str, tuple[float, float, float]]
-                            | None = None,
-                            default_speed: float = 10.0,
-                            default_bandwidth: float = 1e6,
-                            default_transfer: float = 1e6) -> DistributionQuery:
+                            | None = None) -> DistributionQuery:
     """Assemble a query from a descriptor dict plus the capacity matrix.
 
     The descriptor carries either an explicit ``preference`` vector or a
     ``representative_samples`` total to be spread like the global
-    distribution, plus the participant ``budget``.
+    distribution, plus the participant ``budget``. A client missing from
+    ``client_table`` gets speed 10, bandwidth 1e6 and transfer 1e6.
     """
     if not isinstance(descriptor, dict):
         raise ValueError("query descriptor must be a JSON object")
@@ -306,8 +310,7 @@ def load_distribution_query(descriptor: dict, client_ids: list[str],
     table = client_table or {}
     speeds, bandwidths, transfers = [], [], []
     for cid in client_ids:
-        speed, bandwidth, transfer = table.get(
-            cid, (default_speed, default_bandwidth, default_transfer))
+        speed, bandwidth, transfer = table.get(cid, _DEFAULT_CLIENT)
         speeds.append(speed)
         bandwidths.append(bandwidth)
         transfers.append(transfer)
@@ -368,8 +371,7 @@ def greedy_cover(query: DistributionQuery) -> Assignment:
     return min_makespan_assignment(query, sorted(picked))
 
 
-def exact_milp(query: DistributionQuery, max_clients: int = 20,
-               max_categories: int = 5) -> Assignment:
+def exact_milp(query: DistributionQuery) -> Assignment:
     """Globally optimal makespan by threshold search over completion times.
 
     At each trial makespan, :func:`_cover_within` seeks a client set within
@@ -377,11 +379,12 @@ def exact_milp(query: DistributionQuery, max_clients: int = 20,
     at the smallest such time is assigned by :func:`min_makespan_assignment`.
     Guarded to small instances; use :func:`greedy_cover` beyond the guard.
     """
-    if query.n_clients > max_clients or query.n_categories > max_categories:
+    if query.n_clients > _EXACT_MAX_CLIENTS \
+            or query.n_categories > _EXACT_MAX_CATEGORIES:
         raise SizeGuardError(
             f"instance {query.n_clients} clients x {query.n_categories} "
             f"categories exceeds the exact-solver guard "
-            f"({max_clients} x {max_categories})")
+            f"({_EXACT_MAX_CLIENTS} x {_EXACT_MAX_CATEGORIES})")
     caps = _effective_capacities(query)
     _check_capacity(query, caps)
     budget = min(query.budget, query.n_clients)
@@ -500,22 +503,15 @@ def min_makespan_assignment(query: DistributionQuery,
     preference = query.preference
     speeds, transfers = query.speeds[subset], _transfer_times(query, subset)
     row_caps = caps_sub.sum(axis=1)
-    demand = int(preference.sum())
-
+    # With every client sending up to its row total, the flow is infeasible
+    # exactly when some category's column total is short.
+    _check_capacity(query, caps_sub)
     baseline = _feasible_flow(caps_sub, row_caps, preference)
-    if baseline is None:
-        col_caps = caps_sub.sum(axis=0)
-        short = {int(i): int(preference[i] - col_caps[i])
-                 for i in range(query.n_categories)
-                 if col_caps[i] < preference[i]}
-        raise InfeasibleQueryError(short or {0: 0})
-    hi = _makespan(baseline, speeds, transfers)
-    if demand == 0 or hi == 0.0:
-        return _to_assignment(query, subset, baseline, speeds, transfers)
     best_flow = _threshold_search(
         lambda t: _feasible_flow(
             caps_sub, _caps_at(t, speeds, transfers, row_caps), preference),
-        baseline, hi, speeds, transfers, np.minimum(row_caps, demand))
+        baseline, _makespan(baseline, speeds, transfers), speeds, transfers,
+        np.minimum(row_caps, int(preference.sum())))
     return _to_assignment(query, subset, best_flow, speeds, transfers)
 
 
@@ -533,36 +529,38 @@ def _threshold_search(probe, witness, hi: float, speeds: np.ndarray,
                       transfers: np.ndarray, sizes: np.ndarray):
     """Result of ``probe`` at the smallest makespan where it is not None.
 
-    ``witness`` is its result at ``hi``. Up to 50k samples in all, this
-    bisects the completion times ``k / speed + transfer`` (k = 1..sizes) up to
-    ``hi``, one of which is optimal; beyond, it bisects the continuum, which
-    converges to the same result up to a negligible interval.
+    ``witness`` is its result at ``hi``. One of the completion times
+    ``k / speed + transfer`` (k = 1..sizes) up to ``hi`` is optimal, so this
+    bisects them without listing them: each step probes the latest time at or
+    below the midpoint between ``hi`` and ``first``, the first time above the
+    last failing probe. Times are counted as :func:`_caps_at` counts them, so
+    every probe is a completion time in [first, hi) and the span at least
+    halves.
     """
-    if int(sizes.sum()) <= 50_000:
-        times = [np.arange(1, size + 1) / speed + transfer
-                 for size, speed, transfer in zip(sizes, speeds, transfers)
-                 if speed > 0 and math.isfinite(transfer)]
-        points = sorted({t for t in np.concatenate(times).tolist()
-                         if t <= hi + 1e-12})
-        lo_i, hi_i = 0, len(points) - 1
-        while lo_i < hi_i:
-            mid_i = (lo_i + hi_i) // 2
-            found = probe(points[mid_i])
-            if found is not None:
-                witness, hi_i = found, mid_i
-            else:
-                lo_i = mid_i + 1
-        return witness
-    lo = 0.0
-    for _ in range(_BISECT_STEPS):
-        mid = 0.5 * (lo + hi)
-        found = probe(mid)
-        if found is not None:
-            witness, hi = found, mid
+    live = (speeds > 0) & np.isfinite(transfers)
+    speeds, transfers, sizes = speeds[live], transfers[live], sizes[live]
+
+    def within(t: float) -> np.ndarray:  # _caps_at's count, before its caps
+        return np.floor((t - transfers) * speeds + 1e-9)
+
+    def first_above(lo: float) -> float:
+        # k indexes each client's first time above lo. Where the product in
+        # within() loses more than its 1e-9, time k is still at lo.
+        k = np.maximum(within(lo), 0) + 1
+        k += k / speeds + transfers <= lo
+        return float(np.min(k / speeds + transfers, initial=math.inf,
+                            where=k <= sizes))
+
+    first = first_above(0.0)
+    while first < hi:
+        k = np.minimum(within(0.5 * (first + hi)), sizes)
+        times = k / speeds + transfers
+        at = float(np.max(times, initial=first, where=(k > 0) & (times < hi)))
+        found = probe(at)
+        if found is None:
+            first = first_above(at)
         else:
-            lo = mid
-        if hi - lo <= 1e-12 * max(1.0, hi):
-            break
+            witness, hi = found, at
     return witness
 
 

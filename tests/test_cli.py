@@ -156,6 +156,15 @@ def test_estimate_count_with_validation(runner):
     assert rate <= 0.05
 
 
+def test_estimate_count_rejects_negative_trials(runner):
+    result = runner.invoke(main, ["estimate-count", "--epsilon", "10",
+                                  "--delta", "0.95", "--population", "1000",
+                                  "--range-min", "0", "--range-max", "100",
+                                  "--validate", "-5"])
+    assert result.exit_code == 2, result.output
+    assert "--validate" in result.output
+
+
 def test_estimate_count_rejects_unit_confidence(runner):
     result = runner.invoke(main, ["estimate-count", "--epsilon", "10",
                                   "--delta", "1.0", "--population", "1000",

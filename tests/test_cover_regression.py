@@ -3,14 +3,16 @@
 The golden digests fold every cell of each assignment plus
 ``repr(objective_seconds)``, so any change to the flow network, the probe
 sequence or the exact threshold search that moves a single sample or the
-last bit of a makespan shows up here. They cover both bisection paths of
-``min_makespan_assignment`` and the exact solver.
+last bit of a makespan shows up here. They cover the makespan search of
+``min_makespan_assignment`` on small and large client subsets, and the exact
+solver.
 
 The flow network and the transfer times are also checked against the
-per-edge and per-client loops they replaced, the exact solver against the
-branch-and-bound it replaced, and the cut rows of its covering test against
-the flow feasibility check. The solvers' invariants are property-tested on
-small random queries.
+per-edge and per-client loops they replaced, the threshold search against the
+two-branch search it replaced and against listing every completion time, the
+exact solver against the branch-and-bound it replaced, and the cut rows of its
+covering test against the flow feasibility check. The solvers' invariants are
+property-tested on small random queries.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_flow
@@ -56,9 +58,10 @@ def exact_digest(shape: tuple[int, int], seeds: tuple[int, ...]) -> str:
     return digest.hexdigest()
 
 
-# The picked subsets of the 1000 x 30 instances hold about 116k samples, above
-# the 50k limit of the discrete path, so they bisect the continuum; the
-# 200 x 10 instances stay below it and bisect the candidate completion times.
+# The case ids name the two paths of the makespan search these digests were
+# first pinned on: the picked subsets of the 1000 x 30 instances hold about
+# 116k samples, above its 50k switch to a continuum bisection, and the 200 x 10
+# subsets stay below it. One search now serves both, with the same digests.
 GOLDEN = {
     "greedy_continuum": (greedy_digest, (1000, 30), (1, 2),
                          "b8a0cc4ff6e2fd284f4034b6d90758cb05852d0bff93ac7a896d227a118e0234"),
@@ -239,6 +242,152 @@ def test_exact_is_valid_and_never_worse_than_greedy(query):
         testing.validate_assignment(query, greedy)
         assert exact.objective_seconds \
             <= greedy.objective_seconds * (1 + 1e-9)
+
+
+# -- threshold search against the two-branch reference ------------------------
+
+
+def reference_threshold_search(probe, witness, hi, speeds, transfers, sizes):
+    """The threshold search this module used to ship, with its size switch.
+
+    Up to 50k samples in all, it bisects a sorted list of every completion
+    time ``k / speed + transfer`` (k = 1..sizes) up to ``hi``; beyond, it
+    bisects the continuum for at most 80 steps.
+    """
+    if int(sizes.sum()) <= 50_000:
+        times = [np.arange(1, size + 1) / speed + transfer
+                 for size, speed, transfer in zip(sizes, speeds, transfers)
+                 if speed > 0 and math.isfinite(transfer)]
+        points = sorted({t for t in np.concatenate(times).tolist()
+                         if t <= hi + 1e-12})
+        lo_i, hi_i = 0, len(points) - 1
+        while lo_i < hi_i:
+            mid_i = (lo_i + hi_i) // 2
+            found = probe(points[mid_i])
+            if found is not None:
+                witness, hi_i = found, mid_i
+            else:
+                lo_i = mid_i + 1
+        return witness
+    lo = 0.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        found = probe(mid)
+        if found is not None:
+            witness, hi = found, mid
+        else:
+            lo = mid
+        if hi - lo <= 1e-12 * max(1.0, hi):
+            break
+    return witness
+
+
+@st.composite
+def search_cases(draw):
+    """A small query and the search of one of the two solvers over it.
+
+    Speeds, bandwidths and transfer sizes come from short lists, so clients
+    share them and their completion times coincide; a zero speed, or a
+    transfer over zero bandwidth (an infinite transfer time), makes a client
+    unusable, and a zero capacity row gives it nothing to send.
+    """
+    n = draw(st.integers(1, 6))
+    i = draw(st.integers(1, 3))
+    caps = np.array(draw(st.lists(st.integers(0, 6), min_size=n * i,
+                                  max_size=n * i)),
+                    dtype=np.int64).reshape(n, i)
+    query = testing.DistributionQuery(
+        client_ids=tuple(f"c{j}" for j in range(n)),
+        capacities=caps, preference=np.ones(i, dtype=np.int64), budget=n,
+        speeds=draw(st.lists(st.sampled_from([0.0, 1.0, 2.0, 3.0, 7.5]),
+                             min_size=n, max_size=n)),
+        bandwidths=draw(st.lists(st.sampled_from([0.0, 1.0, 4.0]),
+                                 min_size=n, max_size=n)),
+        transfer_sizes=draw(st.lists(st.sampled_from([0.0, 1.0, 3.0]),
+                                     min_size=n, max_size=n)))
+    totals = testing._effective_capacities(query).sum(axis=0)
+    assume(totals.sum() > 0)
+    query.preference = np.array([draw(st.integers(0, int(t))) for t in totals],
+                                dtype=np.int64)
+    assume(query.preference.sum() > 0)
+    return query, draw(st.sampled_from(["flow", "cover"]))
+
+
+def search_inputs(query, solver):
+    """Probe, witness, ``hi`` and the (speeds, transfers, sizes) of a search.
+
+    Built as ``min_makespan_assignment`` (over all clients) or ``exact_milp``
+    build them.
+    """
+    caps = testing._effective_capacities(query)
+    preference = query.preference
+    speeds = query.speeds
+    transfers = testing._transfer_times(query, range(query.n_clients))
+    row_caps = caps.sum(axis=1)
+    sizes = np.minimum(row_caps, int(preference.sum()))
+    if solver == "flow":
+        witness = testing._feasible_flow(caps, row_caps, preference)
+        hi = testing._makespan(witness, speeds, transfers)
+        return (lambda t: testing._feasible_flow(
+            caps, testing._caps_at(t, speeds, transfers, row_caps), preference),
+            witness, hi, (speeds, transfers, sizes))
+    row_sums, need = testing._cut_rows(caps, preference)
+    budget = query.n_clients
+    witness = testing._cover_within(row_caps, row_sums, need, budget)
+    hi = float(np.max(sizes[witness] / speeds[witness] + transfers[witness]))
+    return (lambda t: testing._cover_within(
+        testing._caps_at(t, speeds, transfers, row_caps), row_sums, need, budget),
+        witness, hi, (speeds, transfers, sizes))
+
+
+@settings(max_examples=300, deadline=None)
+@given(search_cases())
+def test_threshold_search_finds_smallest_listed_time(case):
+    query, solver = case
+    probe, witness, hi, arrays = search_inputs(query, solver)
+    probed = []
+
+    def recording(t):
+        probed.append(t)
+        return probe(t)
+
+    got = testing._threshold_search(recording, witness, hi, *arrays)
+    speeds, transfers, sizes = arrays
+    listed = sorted({k / speed + transfer
+                     for size, speed, transfer in zip(sizes, speeds, transfers)
+                     if speed > 0 and math.isfinite(transfer)
+                     for k in range(1, int(size) + 1)})
+    assert hi in listed
+    assert all(t in listed and t < hi for t in probed)
+    assert len(probed) == len(set(probed))
+    first = next(t for t in listed if t >= hi or probe(t) is not None)
+    want = witness if first >= hi else probe(first)
+    assert np.array_equal(got, want)
+    assert np.array_equal(got, reference_threshold_search(probe, witness, hi,
+                                                          *arrays))
+
+
+@pytest.mark.parametrize("need", range(1, 11))
+def test_threshold_search_steps_past_times_that_rounding_hides(need):
+    # With a transfer of 1e7 / 3 s, _caps_at counts 2 samples at the client's
+    # 3rd completion time (and 7 at its 8th): the product loses more than the
+    # 1e-9 it adds. The search must still step past such a time, and stop.
+    speeds, transfers, sizes = np.array([10.0]), np.array([1e7 / 3]), np.array([10])
+    calls = []
+
+    def probe(t):
+        calls.append(t)
+        assert len(calls) <= 10, "threshold search does not terminate"
+        return t if testing._caps_at(t, speeds, transfers, sizes)[0] >= need else None
+
+    listed = [k / 10.0 + 1e7 / 3 for k in range(1, 11)]
+    assert testing._caps_at(listed[2], speeds, transfers, sizes)[0] == 2
+    first = next(t for t in listed if probe(t) is not None)
+    calls.clear()
+    got = testing._threshold_search(probe, "witness", listed[-1], speeds,
+                                    transfers, sizes)
+    assert got == (first if first < listed[-1] else "witness")
+    assert len(calls) == len(set(calls))
 
 
 # -- exact solver against the branch-and-bound reference ----------------------

@@ -160,6 +160,16 @@ def test_deviation_query_rejects_non_finite(field):
         dq(**field)
 
 
+@pytest.mark.parametrize("bad", [10.5, 10.0, True, "10", None])
+def test_deviation_query_rejects_non_integer_population(bad):
+    with pytest.raises(ValueError, match="population"):
+        dq(population=bad)
+
+
+def test_deviation_query_accepts_numpy_integer_population():
+    assert estimate_participant_count(dq(population=np.int64(1000))) == 131
+
+
 def montecarlo_reference(query, counts, n, trials, seed=0):
     """Violation rate from one index sample per trial, the direct reading."""
     counts = np.asarray(counts, dtype=float)
@@ -291,6 +301,15 @@ def test_single_client_shortfall_is_infeasible():
     with pytest.raises(InfeasibleQueryError) as exc:
         greedy_cover(q)
     assert exc.value.shortfalls == {0: 5}
+
+
+def test_infeasible_subset_names_each_short_category():
+    q = simple_query([[5, 0, 1], [0, 5, 1], [3, 0, 4]], [6, 2, 5])
+    with pytest.raises(InfeasibleQueryError) as exc:
+        min_makespan_assignment(q, [0, 1])
+    assert exc.value.shortfalls == {0: 1, 2: 3}
+    assert "category 0: short 1" in str(exc.value)
+    assert "category 2: short 3" in str(exc.value)
 
 
 def test_budget_exceeded_carries_required_count():
