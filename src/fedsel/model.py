@@ -31,18 +31,6 @@ def _logits(weights: np.ndarray, features: np.ndarray) -> np.ndarray:
     return features @ weights[:, :-1].T + weights[:, -1]
 
 
-def per_sample_losses(weights: np.ndarray, features: np.ndarray,
-                      labels: np.ndarray) -> np.ndarray:
-    """Cross-entropy of each sample under the current weights."""
-    log_probs = _log_softmax(_logits(weights, features))
-    return -log_probs[np.arange(labels.size), labels]
-
-
-def mean_loss(weights: np.ndarray, features: np.ndarray,
-              labels: np.ndarray) -> float:
-    return float(per_sample_losses(weights, features, labels).mean())
-
-
 def mean_loss_gradient(weights: np.ndarray, features: np.ndarray,
                        labels: np.ndarray) -> np.ndarray:
     """Analytic gradient of the mean cross-entropy, same shape as weights."""

@@ -24,7 +24,7 @@ from typing import TextIO
 import numpy as np
 
 from . import model
-from .errors import EmptySelectionError
+from .errors import CheckpointError, EmptySelectionError, FedselError
 from .metastore import Checkpoint, MetaStore, RoundFeedback
 from .training import (SelectorConfig, TrainingSelector, gradient_norm_utility,
                        scheduled_pacer_tick, statistical_utility)
@@ -150,6 +150,8 @@ class TrainingSession:
         hints = (1.0 / world.compute_latency).tolist()
         for cid, hint in zip(world.ids.tolist(), hints):
             self.store.register_client(cid, hint if rules.speed_hints else None)
+        # The selector takes and gives world rows as store rows.
+        self._check_rows(self.store.view().table.ids, FedselError)
 
         self.selector = TrainingSelector(config, seed=seed,
                                          metrics_sink=metrics_sink)
@@ -194,12 +196,12 @@ class TrainingSession:
                 view = self.store.view()
         try:
             selected, _ = self.selector.select_participants(
-                view, self._want, round_index,
-                candidates=self.world.ids[available].tolist())
+                view, self._want, round_index, candidates=available)
         except EmptySelectionError:
             logger.warning("round %d: no feasible clients, idle round", round_index)
             return available[:0]
-        return np.searchsorted(self.world.ids, selected)
+        return np.fromiter(map(view.slots.__getitem__, selected), np.intp,
+                           len(selected))
 
     # -- round execution -----------------------------------------------------
 
@@ -301,10 +303,18 @@ class TrainingSession:
                                  selection_history=tuple(self.selection_history))
 
     def restore(self, checkpoint: SessionCheckpoint) -> None:
+        self._check_rows(checkpoint.store.table.ids, CheckpointError)
         self.store.restore(checkpoint.store)
         self.weights = checkpoint.weights.copy()
         self.wall_clock = checkpoint.wall_clock
         self.selection_history = list(checkpoint.selection_history)
+
+    def _check_rows(self, store_ids: tuple[str, ...],
+                    error: type[FedselError]) -> None:
+        """Raise ``error`` unless the store, whose rows are in client-id order,
+        holds exactly the world's clients in the world's rows."""
+        if tuple(sorted(store_ids)) != tuple(self.world.ids.tolist()):
+            raise error("the store's clients must be the world's, row for row")
 
     @property
     def blacklisted_ids(self) -> set[str]:

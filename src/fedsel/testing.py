@@ -518,11 +518,24 @@ def min_makespan_assignment(query: DistributionQuery,
 def _caps_at(makespan: float, speeds: np.ndarray, transfers: np.ndarray,
              row_caps: np.ndarray) -> np.ndarray:
     """Samples each client can train on and upload within ``makespan`` seconds."""
-    slack = makespan - transfers
-    usable = (slack > 0) & (speeds > 0)
+    usable = (makespan - transfers > 0) & (speeds > 0)
     totals = np.zeros(len(speeds), dtype=np.int64)
-    totals[usable] = np.floor(slack[usable] * speeds[usable] + 1e-9).astype(np.int64)
+    totals[usable] = _times_within(makespan, speeds[usable], transfers[usable])
     return np.minimum(totals, row_caps)
+
+
+def _times_within(makespan: float, speeds: np.ndarray,
+                  transfers: np.ndarray) -> np.ndarray:
+    """How many of each client's completion times ``k / speed + transfer`` are
+    at or below ``makespan``, before any cap; at most 0 before the transfer.
+
+    The floor of ``(makespan - transfer) * speed`` can be one off either way,
+    as the subtraction and the product round, so the count is stepped to the
+    last time that, computed as above, is within ``makespan``.
+    """
+    k = np.floor((makespan - transfers) * speeds)
+    k += (k + 1) / speeds + transfers <= makespan
+    return k - (k / speeds + transfers > makespan)
 
 
 def _threshold_search(probe, witness, hi: float, speeds: np.ndarray,
@@ -540,20 +553,16 @@ def _threshold_search(probe, witness, hi: float, speeds: np.ndarray,
     live = (speeds > 0) & np.isfinite(transfers)
     speeds, transfers, sizes = speeds[live], transfers[live], sizes[live]
 
-    def within(t: float) -> np.ndarray:  # _caps_at's count, before its caps
-        return np.floor((t - transfers) * speeds + 1e-9)
-
     def first_above(lo: float) -> float:
-        # k indexes each client's first time above lo. Where the product in
-        # within() loses more than its 1e-9, time k is still at lo.
-        k = np.maximum(within(lo), 0) + 1
-        k += k / speeds + transfers <= lo
+        # k indexes each client's first time above lo.
+        k = np.maximum(_times_within(lo, speeds, transfers), 0) + 1
         return float(np.min(k / speeds + transfers, initial=math.inf,
                             where=k <= sizes))
 
     first = first_above(0.0)
     while first < hi:
-        k = np.minimum(within(0.5 * (first + hi)), sizes)
+        k = np.minimum(_times_within(0.5 * (first + hi), speeds, transfers),
+                       sizes)
         times = k / speeds + transfers
         at = float(np.max(times, initial=first, where=(k > 0) & (times < hi)))
         found = probe(at)

@@ -28,6 +28,10 @@ _STREAM_NOISE = 0
 _STREAM_EXPLOIT = 1
 _STREAM_EXPLORE = 2
 
+# Who may be selected: client ids, rows of the view's table, a bool mask over
+# those rows, or None for every client.
+Candidates = Iterable[str] | np.ndarray | None
+
 
 @dataclass(frozen=True)
 class SelectorConfig:
@@ -251,11 +255,14 @@ def weighted_sample_without_replacement(rng: np.random.Generator,
                                         k: int) -> list:
     """Draw up to ``k`` distinct ids with probability proportional to weight.
 
-    Sequential draws with renormalization. Callers pass ``ids`` in a
-    deterministic order (client-id order) so equal weights break ties
-    reproducibly. A remainder with zero total weight is sampled uniformly.
-    Each weighted draw is the one ``rng.choice(n, p=live / live.sum())``
-    makes: a single uniform searched in the normalised cumulative sum.
+    The picks, in order, are equal in distribution to sequential draws with
+    renormalization, where a remainder with zero total weight is drawn
+    uniformly. They are made in one pass (Efraimidis and Spirakis, 2006):
+    each id gets a key ``E / w`` with ``E ~ Exp(1)``, and the positive-weight
+    ids with the smallest keys come first, in ascending key order. Zero-weight
+    ids follow, if ``k`` asks for more, in ascending order of their ``E``.
+    Callers pass ``ids`` in a deterministic order (client-id order) so the
+    draws are reproducible.
     """
     n = len(ids)
     k = min(k, n)
@@ -266,22 +273,21 @@ def weighted_sample_without_replacement(rng: np.random.Generator,
         raise ValueError("weights must match ids")
     if np.any(w < 0) or not np.all(np.isfinite(w)):
         raise ValueError("weights must be finite and nonnegative")
-    live = w.copy()
-    avail = np.ones(n, dtype=bool)
-    picks = []
-    for _ in range(k):
-        total = live.sum()
-        if total > 0:
-            cdf = np.cumsum(live / total)
-            cdf /= cdf[-1]
-            j = int(cdf.searchsorted(rng.random(), side="right"))
-        else:
-            candidates = np.flatnonzero(avail)
-            j = int(candidates[rng.integers(len(candidates))])
-        picks.append(ids[j])
-        avail[j] = False
-        live[j] = 0.0
-    return picks
+    e = rng.standard_exponential(n)
+    positive = w > 0
+    picks = _smallest(np.flatnonzero(positive), e[positive] / w[positive], k)
+    if len(picks) < k:
+        zero = np.flatnonzero(~positive)
+        picks = np.concatenate([picks, _smallest(zero, e[zero], k - len(picks))])
+    return [ids[j] for j in picks.tolist()]
+
+
+def _smallest(items: np.ndarray, keys: np.ndarray, k: int) -> np.ndarray:
+    """The (up to) ``k`` items with the smallest keys, in ascending key order."""
+    if k < keys.size:
+        part = np.argpartition(keys, k - 1)[:k]
+        items, keys = items[part], keys[part]
+    return items[np.argsort(keys, kind="stable")]
 
 
 class Breakdowns(Sequence[UtilityBreakdown]):
@@ -339,9 +345,11 @@ class TrainingSelector:
         self._sink_header_written = False
 
     def compute_breakdowns(self, view: "StoreView", round_index: int,
-                           candidates: Iterable[str] | None = None,
-                           ) -> Breakdowns:
-        """Utility decomposition for every eligible explored client."""
+                           candidates: Candidates = None) -> Breakdowns:
+        """Utility decomposition for every eligible explored client.
+
+        ``candidates`` is read as :meth:`select_participants` reads it.
+        """
         cfg = self.config
         table = view.table
         pool = self._pool(view, candidates)
@@ -393,7 +401,7 @@ class TrainingSelector:
                           final)
 
     def select_participants(self, view: "StoreView", k: int, round_index: int,
-                            candidates: Iterable[str] | None = None,
+                            candidates: Candidates = None,
                             ) -> tuple[list[str], Breakdowns]:
         """Pick up to ``k`` distinct participants for ``round_index``.
 
@@ -401,7 +409,12 @@ class TrainingSelector:
         probability proportional to utility; exploration picks come from
         unexplored clients weighted by speed hint. Short pools backfill from
         each other; as a last resort, below-cutoff explored clients fill in so
-        the selection reaches min(k, feasible). Repeated candidates count once.
+        the selection reaches min(k, feasible).
+
+        ``candidates`` limits the pool to some clients: client ids (repeats
+        count once, unknown ids are skipped), an integer array of rows of
+        ``view.table``, or a bool mask over those rows. ``None`` means every
+        client. Blacklisted clients are never eligible.
         """
         if k < 1:
             raise ValueError("k must be >= 1")
@@ -462,15 +475,28 @@ class TrainingSelector:
         return np.random.default_rng([self.seed, round_index, stream])
 
     @staticmethod
-    def _pool(view: "StoreView", candidates: Iterable[str] | None) -> np.ndarray:
+    def _pool(view: "StoreView", candidates: Candidates) -> np.ndarray:
         """Rows of the non-blacklisted candidates, once each, in client-id order."""
         table = view.table
+        n = len(table)
         if candidates is None:
             return np.flatnonzero(~table.blacklisted)
-        rows = np.fromiter(map(view.slots.get, candidates, repeat(-1)),
-                           dtype=np.intp)
-        eligible = np.zeros(len(table), dtype=bool)
-        eligible[rows[rows >= 0]] = True
+        kind = candidates.dtype.kind if isinstance(candidates, np.ndarray) else "O"
+        if kind == "b":
+            if candidates.shape != (n,):
+                raise ValueError("a candidate mask needs one entry per client")
+            return np.flatnonzero(candidates & ~table.blacklisted)
+        if kind in "iu":
+            rows = candidates
+            if rows.ndim != 1 or (rows.size and not 0 <= rows.min()
+                                  <= rows.max() < n):
+                raise ValueError("candidate rows must be rows of the view")
+        else:
+            rows = np.fromiter(map(view.slots.get, candidates, repeat(-1)),
+                               dtype=np.intp)
+            rows = rows[rows >= 0]
+        eligible = np.zeros(n, dtype=bool)
+        eligible[rows] = True
         return np.flatnonzero(eligible & ~table.blacklisted)
 
     def _admitted(self, weights: np.ndarray, n_exploit: int) -> np.ndarray:

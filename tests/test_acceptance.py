@@ -30,6 +30,7 @@ from fedsel.testing import (DeviationQuery, DistributionQuery,
 from fedsel.training import (SelectorConfig, staleness_bonus,
                              statistical_utility, system_penalty)
 from fedsel.workload import client_ids_for, generate_population
+from loss_oracles import mean_loss
 
 SEEDS = (1, 2, 3, 4, 5)
 PACER_WINDOW = canonical_selector_config().pacer_window
@@ -330,8 +331,8 @@ def test_criterion_10_numerical_suite():
             up, down = weights.copy(), weights.copy()
             up[i, j] += eps
             down[i, j] -= eps
-            fd[i, j] = (model.mean_loss(up, feats, labels)
-                        - model.mean_loss(down, feats, labels)) / (2 * eps)
+            fd[i, j] = (mean_loss(up, feats, labels)
+                        - mean_loss(down, feats, labels)) / (2 * eps)
     grad_err = np.abs(grad - fd).max() / max(np.abs(fd).max(), 1e-12)
     assert grad_err < 1e-5
 

@@ -367,11 +367,55 @@ def test_threshold_search_finds_smallest_listed_time(case):
                                                           *arrays))
 
 
+@pytest.mark.parametrize("speed", [3.0, 7.0, 10.0, 13.0])
+def test_caps_at_counts_k_at_a_clients_kth_time(speed):
+    # With a transfer of 1e7 / 3 s, the floor of (time - transfer) * speed is
+    # one short at some of these times (at 6, 8 and 12 of the first 40 for
+    # speeds 7, 10 and 13): the subtraction and the product round down.
+    speeds, transfers = np.array([speed]), np.array([1e7 / 3])
+    for k in range(1, 41):
+        t = k / speed + 1e7 / 3
+        assert testing._caps_at(t, speeds, transfers, np.array([100]))[0] == k
+        assert testing._caps_at(t, speeds, transfers, np.array([k - 1]))[0] == k - 1
+
+
+def test_solvers_find_the_makespan_at_a_time_the_product_undercounts():
+    # The optimum sends 3 samples from c0 and 3 from c1, which finishes at
+    # c1's 3rd completion time; the floor there counts 2 for c1. Counting 2
+    # made both solvers settle on c1's 4th time instead.
+    query = testing.DistributionQuery(
+        client_ids=("c0", "c1", "c2"), capacities=[[3], [4], [5]],
+        preference=[11], budget=3, speeds=[13.0, 10.0, 10.0],
+        bandwidths=[3.0, 3.0, 3.0], transfer_sizes=[1e7, 1e7, 0.0])
+    optimum = 3 / 10.0 + 1e7 / 3
+    for got in (testing.exact_milp(query),
+                testing.min_makespan_assignment(query, [0, 1, 2])):
+        testing.validate_assignment(query, got)
+        assert got.objective_seconds == optimum
+        assert got.samples == {"c0": (3,), "c1": (3,), "c2": (5,)}
+
+
+def test_exact_solver_counts_no_sample_a_client_has_not_finished():
+    # c2's 2nd sample is done 1.2e-11 s after 1.0 s. A count of
+    # floor(slack * speed + 1e-9) gave it 2 samples at 1.0 s, so the exact
+    # solver chose c2 alone and its assignment finished after the optimum.
+    query = testing.DistributionQuery(
+        client_ids=("c0", "c1", "c2"), capacities=[[0], [1], [2]],
+        preference=[2], budget=2, speeds=[1.0, 1.0, 2.0],
+        bandwidths=[1e4, 1e4, 1e4], transfer_sizes=[0.0, 0.0, 1.1920929e-07])
+    assert testing._caps_at(1.0, query.speeds, testing._transfer_times(
+        query, range(3)), np.array([0, 1, 2]))[2] == 1
+    got = testing.exact_milp(query)
+    assert got.objective_seconds == 1.0
+    assert got.samples == {"c1": (1,), "c2": (1,)}
+
+
 @pytest.mark.parametrize("need", range(1, 11))
 def test_threshold_search_steps_past_times_that_rounding_hides(need):
-    # With a transfer of 1e7 / 3 s, _caps_at counts 2 samples at the client's
-    # 3rd completion time (and 7 at its 8th): the product loses more than the
-    # 1e-9 it adds. The search must still step past such a time, and stop.
+    # With a transfer of 1e7 / 3 s, the floor of (time - transfer) * speed is
+    # 2 at the client's 3rd completion time (and 7 at its 8th): the
+    # subtraction and the product round down. The search must still count
+    # such a time, step past it when it fails, and stop.
     speeds, transfers, sizes = np.array([10.0]), np.array([1e7 / 3]), np.array([10])
     calls = []
 
@@ -381,8 +425,9 @@ def test_threshold_search_steps_past_times_that_rounding_hides(need):
         return t if testing._caps_at(t, speeds, transfers, sizes)[0] >= need else None
 
     listed = [k / 10.0 + 1e7 / 3 for k in range(1, 11)]
-    assert testing._caps_at(listed[2], speeds, transfers, sizes)[0] == 2
+    assert np.floor((listed[2] - 1e7 / 3) * 10.0) == 2
     first = next(t for t in listed if probe(t) is not None)
+    assert first == listed[need - 1]
     calls.clear()
     got = testing._threshold_search(probe, "witness", listed[-1], speeds,
                                     transfers, sizes)

@@ -12,6 +12,7 @@ from fedsel.experiments import (CANONICAL_K, canonical_population_spec,
                                 canonical_selector_config)
 from fedsel.simulation import TrainingSession
 from fedsel.workload import generate_population
+from loss_oracles import mean_loss, per_sample_losses
 
 
 def reference_epoch(weights, features, labels, learning_rate, batch_size, rng):
@@ -24,7 +25,7 @@ def reference_epoch(weights, features, labels, learning_rate, batch_size, rng):
     for start in range(0, n, batch_size):
         idx = order[start:start + batch_size]
         fx, fy = features[idx], labels[idx]
-        losses[idx] = model.per_sample_losses(w, fx, fy)
+        losses[idx] = per_sample_losses(w, fx, fy)
         step = learning_rate * model.mean_loss_gradient(w, fx, fy)
         w -= step
         batch_sq_norms.append(float(np.sum(step * step)))
@@ -63,8 +64,8 @@ def test_analytic_gradient_matches_finite_differences():
                 down = weights.copy()
                 up[i, j] += eps
                 down[i, j] -= eps
-                fd[i, j] = (model.mean_loss(up, features, labels)
-                            - model.mean_loss(down, features, labels)) / (2 * eps)
+                fd[i, j] = (mean_loss(up, features, labels)
+                            - mean_loss(down, features, labels)) / (2 * eps)
         scale = max(np.abs(fd).max(), 1e-12)
         assert np.abs(grad - fd).max() / scale < 1e-5
 
@@ -72,9 +73,9 @@ def test_analytic_gradient_matches_finite_differences():
 def test_per_sample_losses_positive_and_match_mean():
     rng = np.random.default_rng(1)
     weights, features, labels = random_problem(rng)
-    losses = model.per_sample_losses(weights, features, labels)
+    losses = per_sample_losses(weights, features, labels)
     assert np.all(losses > 0)
-    assert model.mean_loss(weights, features, labels) == pytest.approx(
+    assert mean_loss(weights, features, labels) == pytest.approx(
         float(losses.mean()))
 
 
@@ -82,11 +83,11 @@ def test_local_epoch_reduces_training_loss():
     rng = np.random.default_rng(2)
     for trial in range(5):
         weights, features, labels = random_problem(np.random.default_rng(trial))
-        before = model.mean_loss(weights, features, labels)
+        before = mean_loss(weights, features, labels)
         (new_w,), _, _ = model.local_epoch(weights, features, labels,
                                            [labels.size], learning_rate=0.05,
                                            batch_size=8, rngs=[rng])
-        after = model.mean_loss(new_w, features, labels)
+        after = mean_loss(new_w, features, labels)
         assert after <= before * (1 + 1e-6)
 
 

@@ -10,12 +10,16 @@ its random draws shows up here.
 from __future__ import annotations
 
 import hashlib
+import itertools
+import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedsel.errors import EmptySelectionError
 from fedsel.experiments import canonical_selector_config
 from fedsel.metastore import ClientTable, MetaStore, RoundFeedback, StoreView
 from fedsel.training import (TrainingSelector, staleness_bonus, system_penalty,
@@ -66,11 +70,11 @@ def golden_digest(seed: int = 7, **overrides) -> str:
 
 @pytest.mark.parametrize("overrides, expected", [
     ({},
-     "48da930f47b80578ba01ef5db2761da7138cb20ad7e9194a3d8c6671ca074047"),
+     "617505ac5ec9865db86e3088b6c1999a77504d7f1b9938fd86f5cfcd90430d6b"),
     ({"fairness_weight": 0.5},
-     "f6b0ce2a0e171fc00bda810950dfc355aa8f0a3447120f7d54739786a44fb66d"),
+     "f681e6b80ceac2f6caa03347465f9f1d9b71065db9ba6966a4a526864f3c51b5"),
     ({"noise_epsilon": 0.2},
-     "83cee42fe97b100f64687d7277c78bd654cfd4f095551f8fef9d83179b1a7d8a"),
+     "8ea8b1527f978e5af0393b361f5ed616adfa609197188edcf888e1f05e728c20"),
 ], ids=["canonical", "fairness_0.5", "noise_0.2"])
 def test_golden_select_feedback_digest(overrides, expected):
     assert golden_digest(**overrides) == expected
@@ -128,6 +132,41 @@ def test_selection_properties(n, explored, rounds, threshold, hinted, k, seed,
     assert again == picks
 
 
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 40), explored=st.integers(0, 40),
+       rounds=st.integers(0, 6), threshold=st.integers(1, 3),
+       hinted=st.booleans(), k=st.integers(1, 50),
+       seed=st.integers(0, 2**16), fairness=st.sampled_from([0.0, 0.5]),
+       noise=st.sampled_from([0.0, 0.3]), data=st.data())
+def test_candidate_rows_and_masks_select_as_their_ids(n, explored, rounds,
+                                                      threshold, hinted, k,
+                                                      seed, fairness, noise,
+                                                      data):
+    store = populated_store(n, explored, rounds, threshold, hinted, seed)
+    view = store.view()
+    # Rows may repeat and may be blacklisted; the id list adds unknown ids.
+    rows = data.draw(st.lists(st.integers(0, n - 1)))
+    ids = data.draw(st.permutations(
+        [view.table.ids[row] for row in rows]
+        + data.draw(st.lists(st.sampled_from(["zz", "c999", "", "c00"])))))
+    mask = np.zeros(n, dtype=bool)
+    mask[rows] = True
+    cfg = canonical_selector_config(fairness_weight=fairness,
+                                    noise_epsilon=noise)
+    r = store.round_index + 1
+    outcomes = []
+    for candidates in (ids, np.array(rows, dtype=np.intp), mask):
+        try:
+            picks, downs = TrainingSelector(cfg, seed=seed).select_participants(
+                view, k, r, candidates=candidates)
+        except EmptySelectionError:
+            outcomes.append(None)
+        else:
+            outcomes.append((picks, list(downs), downs.pool.tolist()))
+    assert outcomes[1] == outcomes[0]
+    assert outcomes[2] == outcomes[0]
+
+
 # -- array forms against their scalar references -------------------------------------
 
 
@@ -150,15 +189,47 @@ def reference_sample(rng, ids, weights, k):
     return picks
 
 
-@settings(max_examples=200, deadline=None)
-@given(weights=st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1e6)),
-                        min_size=1, max_size=80),
-       k=st.integers(1, 90), seed=st.integers(0, 2**32 - 1))
-def test_sampler_makes_the_draws_of_rng_choice(weights, k, seed):
+def successive_sampling_probabilities(weights, k):
+    """Exact probability of every ordered pick sequence of ``min(k, n)`` picks.
+
+    Each pick takes a remaining client with probability proportional to its
+    weight, or uniformly when the remaining weight is zero. Sequences of
+    probability 0 are left out.
+    """
+    probs = {}
+    for seq in itertools.permutations(range(len(weights)), min(k, len(weights))):
+        p, left = 1.0, set(range(len(weights)))
+        for j in seq:
+            total = sum(weights[i] for i in left)
+            p *= weights[j] / total if total > 0 else 1.0 / len(left)
+            left.remove(j)
+        if p > 0:
+            probs[seq] = p
+    return probs
+
+
+SAMPLER_DRAWS = 40_000
+
+
+@pytest.mark.parametrize("sampler", [weighted_sample_without_replacement,
+                                     reference_sample],
+                         ids=["one_pass", "reference"])
+@pytest.mark.parametrize("weights, k", [
+    ([3.0, 1.0, 0.5, 2.0, 0.25, 1.5], 4),
+    ([0.0, 2.0, 0.0, 1.0, 3.0, 0.0], 4),  # fewer positive weights than k
+    ([1.0, 0.0, 4.0, 0.0, 2.5], 2),
+    ([0.0, 0.0, 0.0, 0.0], 3),
+], ids=["positive", "short_positive", "some_zero", "all_zero"])
+def test_sampler_draws_follow_successive_sampling(sampler, weights, k):
+    rng = np.random.default_rng(2006)
     ids = list(range(len(weights)))
-    assert (weighted_sample_without_replacement(
-                np.random.default_rng(seed), ids, weights, k)
-            == reference_sample(np.random.default_rng(seed), ids, weights, k))
+    counts = Counter(tuple(sampler(rng, ids, weights, k))
+                     for _ in range(SAMPLER_DRAWS))
+    probs = successive_sampling_probabilities(weights, k)
+    assert set(counts) <= set(probs)
+    for seq, p in probs.items():
+        sigma = math.sqrt(p * (1.0 - p) / SAMPLER_DRAWS)
+        assert abs(counts[seq] / SAMPLER_DRAWS - p) <= 4 * sigma, (seq, p)
 
 
 @pytest.mark.parametrize("fairness", [0.0, 0.5])

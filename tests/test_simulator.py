@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from fedsel import model
+from fedsel.errors import CheckpointError, FedselError
 from fedsel.simulation import (POLICIES, TrainingSession, corrupt_clients,
                                fairness_metrics, write_metrics_table)
 from fedsel.training import SelectorConfig
@@ -340,16 +341,21 @@ def test_resumed_session_reports_same_fairness_as_uninterrupted():
 GOLDEN_ROUNDS = 8
 
 
+def golden_session(policy: str) -> TrainingSession:
+    return make_session(policy=policy, seed=9, k=5,
+                        config=SelectorConfig(pacer_step=1.0, pacer_window=2))
+
+
 def round_engine_digest(policy: str) -> str:
     """Fold every RoundResult field, the final weights, the clock and the
     utility history of a short seeded run into one digest.
 
-    The short pacer step puts stragglers behind the preferred duration and the
-    two-round window lets the pacer fire at round 5, so the six policies give
-    six different runs.
+    The short pacer step puts stragglers behind the preferred duration. The
+    two-round window lets the pacer fire from round 5 on; on this seed it first
+    fires at round 11, so ``guided`` and ``guided_no_pacer`` share a digest
+    here and :func:`test_pacer_steps_the_guided_session` tells them apart.
     """
-    session = make_session(policy=policy, seed=9, k=5,
-                           config=SelectorConfig(pacer_step=1.0, pacer_window=2))
+    session = golden_session(policy)
     digest = hashlib.sha256()
     for _ in range(GOLDEN_ROUNDS):
         r = session.run_round()
@@ -366,18 +372,44 @@ GOLDEN_ROUND_DIGESTS = {
     "random":
         "964c1922fdee9b70c25affd12069e5670728da095c3e1884442368b7849b74de",
     "guided":
-        "d5852ae28d0a4ad895e7e70489f536a56a9d41eeb3d9e3575e4e7b80153ee554",
+        "462b2cc8dda39a9fc75c96930042118b235ad12fabc4438e0397c61d6be84805",
     "guided_no_pacer":
-        "10edc782b0af61203b2c13a490078e51d53d319a30ede4727aa894d47fedbfa1",
+        "462b2cc8dda39a9fc75c96930042118b235ad12fabc4438e0397c61d6be84805",
     "guided_no_sys":
-        "3d1d7bab276aa2b51582d0d789178230f354338232ecaa259dea1b71172d69dd",
+        "c5fddd5de4e7fb8a32de158dab79e5488a81340773da994c4cba7c2eb97c54cb",
     "speed_only":
         "1f3e857405b5c3a4273733049d327007085683e48aa585acfe38fd8b07678641",
     "stat_only":
-        "b4851e1d12cf2766838db39a88ca092ad5d66990fee3eca045b394b9139501f1",
+        "91fb2cbf70648cc2f6d3d48c9c054c7adc118a22b3d7648d55a56eea99bdd177",
 }
 
 
 @pytest.mark.parametrize("policy", sorted(GOLDEN_ROUND_DIGESTS))
 def test_golden_round_engine_digest(policy):
     assert round_engine_digest(policy) == GOLDEN_ROUND_DIGESTS[policy]
+
+
+def test_pacer_steps_the_guided_session():
+    guided, fixed = golden_session("guided"), golden_session("guided_no_pacer")
+    steps = [r.preferred_duration for r in guided.run_rounds(12)]
+    assert steps == [1.0] * 10 + [2.0] * 2
+    assert {r.preferred_duration for r in fixed.run_rounds(12)} == {1.0}
+    assert guided.selection_history[:10] == fixed.selection_history[:10]
+    assert guided.selection_history[10:] != fixed.selection_history[10:]
+
+
+def test_session_rejects_a_world_whose_rows_are_not_in_id_order():
+    world = generate_population(small_spec())
+    world.ids = world.ids[::-1].copy()  # bypasses SimWorld's own check
+    with pytest.raises(FedselError, match="row for row"):
+        TrainingSession(world, "guided", SelectorConfig(pacer_step=5.0), 5, 0)
+
+
+def test_restore_rejects_a_checkpoint_of_other_clients():
+    session = make_session(seed=1)
+    other = make_session(seed=1, spec=small_spec(client_count=30))
+    other.run_round()
+    before = session.snapshot()
+    with pytest.raises(CheckpointError, match="row for row"):
+        session.restore(other.snapshot())
+    assert session.snapshot().store == before.store

@@ -533,3 +533,14 @@ def test_repeated_candidates_give_one_breakdown_each():
     view = make_view([explored(c, utility=3.0) for c in "abc"])
     downs = selector().compute_breakdowns(view, 2, candidates=["c", "a", "c"])
     assert [b.client_id for b in downs] == ["a", "c"]
+
+
+@pytest.mark.parametrize("candidates", [
+    np.array([0, 3]), np.array([-1, 0]), np.array([[0, 1]]),
+    np.ones(2, dtype=bool), np.ones((1, 3), dtype=bool),
+], ids=["row_past_end", "negative_row", "rows_2d", "short_mask", "mask_2d"])
+def test_candidate_rows_and_masks_must_fit_the_view(candidates):
+    view = make_view([fresh(c) for c in "abc"])
+    with pytest.raises(ValueError, match="candidate"):
+        selector().select_participants(view, 2, round_index=1,
+                                       candidates=candidates)
