@@ -476,7 +476,7 @@ def reference_branch_and_bound(query: testing.DistributionQuery
             if not capacity_ok(avail):
                 return
             relaxed = testing.min_makespan_assignment(query, sorted(avail))
-            if relaxed.objective_seconds >= best["value"] - 1e-12:
+            if relaxed.objective_seconds >= best["value"]:
                 return
             if relaxed.participant_count <= budget:
                 best["value"] = relaxed.objective_seconds
