@@ -187,11 +187,27 @@ def compose_testset(query_path, capacities_path, clients_path, out_path, exact):
                    f"solver time = {exact_time:.3f} s")
 
 
+def _int_list(least: int):
+    """Click callback: a comma-separated list of integers >= ``least``."""
+    def parse(ctx, param, text: str) -> list[int]:
+        try:
+            values = [int(s) for s in text.split(",") if s.strip()]
+        except ValueError:
+            values = []
+        if not values or min(values) < least:
+            raise click.BadParameter(f"must be a comma-separated list of "
+                                     f"integers >= {least}, got {text!r}")
+        return values
+    return parse
+
+
 @main.command("bench-cover")
-@click.option("--sizes", required=True, help="Comma-separated client counts.")
-@click.option("--seeds", default="0", show_default=True,
+@click.option("--sizes", required=True, callback=_int_list(1),
+              help="Comma-separated client counts.")
+@click.option("--seeds", default="0", show_default=True, callback=_int_list(0),
               help="Comma-separated seeds.")
-@click.option("--categories", type=int, default=3, show_default=True)
+@click.option("--categories", type=click.IntRange(min=1), default=3,
+              show_default=True)
 @click.option("--out", "out_path", type=click.Path(), required=True)
 def bench_cover(sizes, seeds, categories, out_path):
     """Compare greedy and exact cover solvers across instance sizes.
@@ -199,11 +215,9 @@ def bench_cover(sizes, seeds, categories, out_path):
     Exact solves at greedy's participant count, so the makespan ratio is
     greedy's against the optimum with as many participants.
     """
-    size_list = [int(s) for s in sizes.split(",") if s.strip()]
-    seed_list = [int(s) for s in seeds.split(",") if s.strip()]
     rows = []
-    for n in size_list:
-        for seed in seed_list:
+    for n in sizes:
+        for seed in seeds:
             query = _random_query(n, categories, seed)
             start = time.perf_counter()
             greedy = testing.greedy_cover(query)
@@ -256,8 +270,18 @@ def _random_query(n_clients: int, categories: int, seed: int) -> testing.Distrib
 
 
 def _load_run_config(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            cfg = json.load(fh)
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise click.UsageError(f"run config is not valid JSON: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise click.UsageError(f"run config must be a JSON object, "
+                               f"got {type(cfg).__name__}")
+    trace_path = cfg.get("trace_path")
+    if trace_path is not None and not isinstance(trace_path, str):
+        raise click.UsageError(
+            f"trace_path must be a string, got {trace_path!r}")
     for key in ("population", "selector", "k", "target", "max_rounds",
                 "seeds", "policies"):
         if key not in cfg:

@@ -10,6 +10,7 @@ oracle on small instances.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -108,10 +109,15 @@ def verify_bound_montecarlo(query: DeviationQuery,
     values, multiplicity = np.unique(counts, return_counts=True)
     pop_mean = counts.mean()
     block = max(1, _BLOCK_CELLS // values.size)
+    # Both methods are exact in distribution. "count" costs about one step
+    # per item drawn, min(n, N - n) of them; "marginals" one hypergeometric
+    # draw per distinct value, each worth some 8 steps (measured at N = 10^4).
+    method = "marginals" if 8 * values.size < min(n, query.population - n) \
+        else "count"
     violations = 0
     for start in range(0, trials, block):
         held = rng.multivariate_hypergeometric(
-            multiplicity, n, size=min(block, trials - start), method="count")
+            multiplicity, n, size=min(block, trials - start), method=method)
         deviation = np.abs(held @ values / n - pop_mean)
         violations += int(np.count_nonzero(deviation >= query.tolerance))
     return violations / trials
@@ -341,31 +347,14 @@ def write_assignment_file(path: str, assignment: Assignment) -> None:
 def greedy_cover(query: DistributionQuery) -> Assignment:
     """Two-phase heuristic: greedy subset cover, then makespan optimization.
 
-    Phase 1 repeatedly picks the client contributing the most samples toward
-    the not-yet-satisfied categories. Phase 2 is :func:`min_makespan_assignment`
-    over the chosen subset (budget constraint dropped).
+    Phase 1 (:func:`_greedy_picks`) repeatedly picks the client contributing
+    the most samples toward the not-yet-satisfied categories. Phase 2 is
+    :func:`min_makespan_assignment` over the chosen subset (budget constraint
+    dropped).
     """
     caps = _effective_capacities(query)
     _check_capacity(query, caps)
-    remaining = query.preference.copy()
-    picked: list[int] = []
-    picked_mask = np.zeros(query.n_clients, dtype=bool)
-    order = sorted(range(query.n_clients), key=lambda i: query.client_ids[i])
-    id_rank = np.empty(query.n_clients, dtype=np.int64)
-    id_rank[order] = np.arange(query.n_clients)
-    while remaining.sum() > 0:
-        contrib = np.minimum(caps, remaining[None, :]).sum(axis=1)
-        contrib[picked_mask] = -1
-        top = contrib.max()
-        if top <= 0:
-            short = {int(i): int(remaining[i])
-                     for i in np.flatnonzero(remaining > 0)}
-            raise InfeasibleQueryError(short)
-        ties = np.flatnonzero(contrib == top)
-        best = int(ties[np.argmin(id_rank[ties])])  # client-id order
-        picked.append(best)
-        picked_mask[best] = True
-        remaining = remaining - np.minimum(caps[best], remaining)
+    picked = _greedy_picks(caps, query.preference, query.client_ids)
     if len(picked) > query.budget:
         raise BudgetExceededError(required=len(picked), budget=query.budget)
     return min_makespan_assignment(query, sorted(picked))
@@ -425,6 +414,47 @@ def _check_capacity(query: DistributionQuery, caps: np.ndarray) -> None:
              for i in range(query.n_categories) if totals[i] < query.preference[i]}
     if short:
         raise InfeasibleQueryError(short)
+
+
+def _greedy_picks(caps: np.ndarray, preference: np.ndarray,
+                  client_ids: Sequence[str]) -> list[int]:
+    """Greedy cover rows in pick order: each pick has the largest
+    contribution ``sum_i min(caps[n, i], remaining[i])``, ties to the first
+    client id.
+
+    A contribution can only fall as categories fill, so it is evaluated
+    lazily (Minoux, 1978): a heap holds each client's last contribution, and
+    the top client is taken once its fresh contribution still leads the heap.
+    A heap key is ``-contribution * clients + rank``, the rank being the
+    client's place in id order, so the smallest key is the pick.
+    """
+    remaining = preference.copy()
+    left = int(remaining.sum())
+    size = len(client_ids)
+    order = sorted(range(size), key=client_ids.__getitem__)
+    contrib = np.minimum(caps, remaining).sum(axis=1).tolist()
+    heap = [-contrib[row] * size + rank for rank, row in enumerate(order)
+            if contrib[row] > 0]
+    heapq.heapify(heap)
+    picked: list[int] = []
+    while left > 0:
+        if not heap:
+            raise InfeasibleQueryError({int(i): int(remaining[i])
+                                        for i in np.flatnonzero(remaining > 0)})
+        rank = heapq.heappop(heap) % size
+        row = order[rank]
+        gain = np.minimum(caps[row], remaining)
+        filled = int(gain.sum())
+        if filled == 0:
+            continue  # fills nothing now, so nothing later either
+        key = -filled * size + rank
+        if heap and key > heap[0]:
+            heapq.heappush(heap, key)
+            continue
+        picked.append(row)
+        remaining -= gain
+        left -= filled
+    return picked
 
 
 def _transfer_times(query: DistributionQuery, subset: Sequence[int]) -> np.ndarray:
@@ -496,8 +526,11 @@ def min_makespan_assignment(query: DistributionQuery,
                             subset: list[int]) -> Assignment:
     """Budget-free minimum makespan over the given clients.
 
-    Searches the makespan (:func:`_threshold_search`) with a flow
-    feasibility check at every probe.
+    Searches the makespan (:func:`_threshold_search`) first on two checks any
+    feasible flow passes: each wanted category, and all of them together, can
+    be filled by what the clients send within it. One flow probe at that
+    floor usually settles it; only if it fails does the search go on above
+    the floor with a flow feasibility check at every probe.
     """
     caps_sub = _effective_capacities(query)[subset]
     preference = query.preference
@@ -507,11 +540,32 @@ def min_makespan_assignment(query: DistributionQuery,
     # exactly when some category's column total is short.
     _check_capacity(query, caps_sub)
     baseline = _feasible_flow(caps_sub, row_caps, preference)
-    best_flow = _threshold_search(
-        lambda t: _feasible_flow(
-            caps_sub, _caps_at(t, speeds, transfers, row_caps), preference),
-        baseline, _makespan(baseline, speeds, transfers), speeds, transfers,
-        np.minimum(row_caps, int(preference.sum())))
+    hi = _makespan(baseline, speeds, transfers)
+    sizes = np.minimum(row_caps, int(preference.sum()))
+    wanted = np.flatnonzero(preference > 0)
+    cells, demand = caps_sub[:, wanted], preference[wanted]
+
+    def fills(t: float) -> float | None:
+        sent = _caps_at(t, speeds, transfers, row_caps)
+        if sent.sum() < demand.sum() \
+                or np.any(np.minimum(sent[:, None], cells).sum(axis=0) < demand):
+            return None
+        return t
+
+    def flow_at(t: float) -> np.ndarray | None:
+        return _feasible_flow(caps_sub, _caps_at(t, speeds, transfers, row_caps),
+                              preference)
+
+    # No flow is feasible below the floor, so one feasible at the floor is
+    # the flow search's own result there. At ``hi`` that result is the
+    # baseline (a flow at row totals), not a flow at ``_caps_at(hi)``.
+    best_flow = baseline
+    floor = _threshold_search(fills, hi, hi, speeds, transfers, sizes)
+    if floor < hi:
+        best_flow = flow_at(floor)
+        if best_flow is None:
+            best_flow = _threshold_search(flow_at, baseline, hi, speeds,
+                                          transfers, sizes, lo=floor)
     return _to_assignment(query, subset, best_flow, speeds, transfers)
 
 
@@ -539,27 +593,28 @@ def _times_within(makespan: float, speeds: np.ndarray,
 
 
 def _threshold_search(probe, witness, hi: float, speeds: np.ndarray,
-                      transfers: np.ndarray, sizes: np.ndarray):
+                      transfers: np.ndarray, sizes: np.ndarray,
+                      lo: float = 0.0):
     """Result of ``probe`` at the smallest makespan where it is not None.
 
-    ``witness`` is its result at ``hi``. One of the completion times
-    ``k / speed + transfer`` (k = 1..sizes) up to ``hi`` is optimal, so this
-    bisects them without listing them: each step probes the latest time at or
-    below the midpoint between ``hi`` and ``first``, the first time above the
-    last failing probe. Times are counted as :func:`_caps_at` counts them, so
-    every probe is a completion time in [first, hi) and the span at least
-    halves.
+    ``witness`` is its result at ``hi``; it is known to fail at ``lo``. One of
+    the completion times ``k / speed + transfer`` (k = 1..sizes) in (lo, hi]
+    is optimal, so this bisects them without listing them: each step probes
+    the latest time at or below the midpoint between ``hi`` and ``first``,
+    the first time above the last failing probe (or ``lo``). Times are counted
+    as :func:`_caps_at` counts them, so every probe is a completion time in
+    [first, hi) and the span at least halves.
     """
     live = (speeds > 0) & np.isfinite(transfers)
     speeds, transfers, sizes = speeds[live], transfers[live], sizes[live]
 
-    def first_above(lo: float) -> float:
-        # k indexes each client's first time above lo.
-        k = np.maximum(_times_within(lo, speeds, transfers), 0) + 1
+    def first_above(t: float) -> float:
+        # k indexes each client's first time above t.
+        k = np.maximum(_times_within(t, speeds, transfers), 0) + 1
         return float(np.min(k / speeds + transfers, initial=math.inf,
                             where=k <= sizes))
 
-    first = first_above(0.0)
+    first = first_above(lo)
     while first < hi:
         k = np.minimum(_times_within(0.5 * (first + hi), speeds, transfers),
                        sizes)
@@ -627,9 +682,8 @@ def _makespan(assign: np.ndarray, speeds: np.ndarray,
 def _to_assignment(query: DistributionQuery, subset: list[int],
                    assign: np.ndarray, speeds: np.ndarray,
                    transfers: np.ndarray) -> Assignment:
-    samples = {}
-    for j, idx in enumerate(subset):
-        if assign[j].sum() > 0:
-            samples[query.client_ids[idx]] = tuple(int(v) for v in assign[j])
+    active = np.flatnonzero(assign.sum(axis=1) > 0)
+    samples = {query.client_ids[subset[j]]: tuple(cells)
+               for j, cells in zip(active.tolist(), assign[active].tolist())}
     return Assignment(samples=samples,
                       objective_seconds=_makespan(assign, speeds, transfers))

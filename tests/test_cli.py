@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import re
@@ -116,13 +117,32 @@ def test_simulate_train_missing_config_key(runner, tmp_path):
     ({"max_rounds": "6"}, "max_rounds must be an integer"),
     ({"max_rounds": True}, "max_rounds must be an integer"),
     ({"max_rounds": -1}, "max_rounds must be an integer"),
+    # An int path would be opened as a file descriptor.
+    ({"trace_path": 987654}, "trace_path must be a string"),
 ], ids=["unknown_policy", "unknown_selector_key", "string_seed", "nan_selector",
         "missing_trace", "string_k", "bool_k", "string_target", "bool_target",
-        "string_max_rounds", "bool_max_rounds", "negative_max_rounds"])
+        "string_max_rounds", "bool_max_rounds", "negative_max_rounds",
+        "int_trace_path"])
 def test_simulate_train_rejects_bad_run_config(runner, tmp_path, overrides,
                                                message):
     cfg = tiny_run_config(tmp_path, **overrides)
     result = runner.invoke(main, ["simulate-train", "--config", cfg,
+                                  "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert message in result.output
+
+
+@pytest.mark.parametrize("text, message", [
+    ("{\"k\": 4,", "not valid JSON"),
+    ("3", "must be a JSON object, got int"),
+    ("[1, 2]", "must be a JSON object, got list"),
+], ids=["not_json", "int", "list"])
+def test_simulate_train_rejects_unreadable_run_config(runner, tmp_path, text,
+                                                      message):
+    path = tmp_path / "run.json"
+    path.write_text(text)
+    result = runner.invoke(main, ["simulate-train", "--config", str(path),
                                   "--out", str(tmp_path / "out")])
     assert result.exit_code == 2, result.output
     assert isinstance(result.exception, SystemExit)
@@ -329,3 +349,23 @@ def test_bench_cover_solves_exact_at_greedy_budget(runner, tmp_path):
     for (greedy, exact), row in zip(counts, rows):
         assert int(exact) <= int(greedy)
         assert float(row.split("\t")[4]) >= 1.0 - 1e-9
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--sizes", "abc"),
+    ("--sizes", "0"),
+    ("--categories", "0"),
+    ("--categories", "-1"),
+    ("--seeds", "x"),
+], ids=["text_size", "zero_size", "zero_categories", "negative_categories",
+        "text_seed"])
+def test_bench_cover_bad_option_is_a_usage_error(runner, tmp_path, option,
+                                                 value):
+    args = {"--sizes": "5", "--seeds": "0", "--categories": "3"}
+    args[option] = value
+    result = runner.invoke(main, ["bench-cover", *itertools.chain(*args.items()),
+                                  "--out", str(tmp_path / "bench.tsv")])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert option in result.output
+    assert not (tmp_path / "bench.tsv").exists()

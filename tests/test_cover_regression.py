@@ -8,9 +8,11 @@ last bit of a makespan shows up here. They cover the makespan search of
 solver.
 
 The flow network and the transfer times are also checked against the
-per-edge and per-client loops they replaced, the threshold search against the
-two-branch search it replaced and against listing every completion time, the
-exact solver against the branch-and-bound it replaced, and the cut rows of its
+per-edge and per-client loops they replaced, greedy's lazy phase 1 against the
+full rescan it replaced, the makespan search's cut-row floor against the
+flow-only search it replaced, the threshold search against the two-branch
+search it replaced and against listing every completion time, the exact
+solver against the branch-and-bound it replaced, and the cut rows of its
 covering test against the flow feasibility check. The solvers' invariants are
 property-tested on small random queries.
 """
@@ -244,6 +246,70 @@ def test_exact_is_valid_and_never_worse_than_greedy(query):
             <= greedy.objective_seconds * (1 + 1e-9)
 
 
+# -- greedy phase 1 against the full-rescan reference -------------------------
+
+
+def reference_greedy_picks(caps, preference, client_ids) -> list[int]:
+    """The phase 1 this module used to ship: every pick rescans all clients."""
+    remaining = preference.copy()
+    picked: list[int] = []
+    picked_mask = np.zeros(len(client_ids), dtype=bool)
+    order = sorted(range(len(client_ids)), key=lambda i: client_ids[i])
+    id_rank = np.empty(len(client_ids), dtype=np.int64)
+    id_rank[order] = np.arange(len(client_ids))
+    while remaining.sum() > 0:
+        contrib = np.minimum(caps, remaining[None, :]).sum(axis=1)
+        contrib[picked_mask] = -1
+        top = contrib.max()
+        if top <= 0:
+            short = {int(i): int(remaining[i])
+                     for i in np.flatnonzero(remaining > 0)}
+            raise InfeasibleQueryError(short)
+        ties = np.flatnonzero(contrib == top)
+        best = int(ties[np.argmin(id_rank[ties])])  # client-id order
+        picked.append(best)
+        picked_mask[best] = True
+        remaining = remaining - np.minimum(caps[best], remaining)
+    return picked
+
+
+@st.composite
+def pick_inputs(draw):
+    """Capacities with many equal contributions, ids out of row order, and a
+    preference that may exceed what the clients hold."""
+    n = draw(st.integers(1, 12))
+    i = draw(st.integers(1, 4))
+    caps = np.array(draw(st.lists(st.integers(0, 3), min_size=n * i,
+                                  max_size=n * i)),
+                    dtype=np.int64).reshape(n, i)
+    preference = np.array(draw(st.lists(st.integers(0, 12), min_size=i,
+                                        max_size=i)), dtype=np.int64)
+    ids = draw(st.permutations([f"c{j:02d}" for j in range(n)]))
+    return caps, preference, tuple(ids)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pick_inputs())
+def test_lazy_greedy_picks_match_full_rescan(inputs):
+    caps, preference, ids = inputs
+    try:
+        want = reference_greedy_picks(caps, preference, ids)
+    except InfeasibleQueryError as exc:
+        with pytest.raises(InfeasibleQueryError) as got:
+            testing._greedy_picks(caps, preference, ids)
+        assert got.value.shortfalls == exc.shortfalls
+        return
+    assert testing._greedy_picks(caps, preference, ids) == want
+
+
+@pytest.mark.parametrize("shape, seed", [((1000, 30), 1), ((200, 10), 3)])
+def test_lazy_greedy_picks_match_full_rescan_on_random_queries(shape, seed):
+    query = _random_query(*shape, seed)
+    caps = testing._effective_capacities(query)
+    assert testing._greedy_picks(caps, query.preference, query.client_ids) \
+        == reference_greedy_picks(caps, query.preference, query.client_ids)
+
+
 # -- threshold search against the two-branch reference ------------------------
 
 
@@ -433,6 +499,125 @@ def test_threshold_search_steps_past_times_that_rounding_hides(need):
                                     transfers, sizes)
     assert got == (first if first < listed[-1] else "witness")
     assert len(calls) == len(set(calls))
+
+
+# -- makespan search: cut-row floor against the flow-only reference -----------
+
+
+def reference_min_makespan(query, subset) -> testing.Assignment:
+    """The makespan search this module used to ship: a flow probe at every
+    step, from the first completion time up."""
+    caps_sub = testing._effective_capacities(query)[subset]
+    preference = query.preference
+    speeds = query.speeds[subset]
+    transfers = testing._transfer_times(query, subset)
+    row_caps = caps_sub.sum(axis=1)
+    testing._check_capacity(query, caps_sub)
+    baseline = testing._feasible_flow(caps_sub, row_caps, preference)
+    best_flow = testing._threshold_search(
+        lambda t: testing._feasible_flow(
+            caps_sub, testing._caps_at(t, speeds, transfers, row_caps),
+            preference),
+        baseline, testing._makespan(baseline, speeds, transfers), speeds,
+        transfers, np.minimum(row_caps, int(preference.sum())))
+    return testing._to_assignment(query, subset, best_flow, speeds, transfers)
+
+
+def assert_same_assignment(got, want):
+    assert got.samples == want.samples
+    assert repr(got.objective_seconds) == repr(want.objective_seconds)
+
+
+@st.composite
+def floor_cases(draw):
+    """A small query and a client subset that can meet its preference.
+
+    As in :func:`search_cases`, a zero speed or a transfer over zero
+    bandwidth (an infinite transfer time) makes a client unusable and a zero
+    capacity row gives it nothing to send; up to four categories with small
+    capacities let cuts over several categories bind below the floor.
+    """
+    n = draw(st.integers(1, 8))
+    i = draw(st.integers(1, 4))
+    caps = np.array(draw(st.lists(st.integers(0, 3), min_size=n * i,
+                                  max_size=n * i)),
+                    dtype=np.int64).reshape(n, i)
+    query = testing.DistributionQuery(
+        client_ids=tuple(f"c{j}" for j in range(n)),
+        capacities=caps, preference=np.ones(i, dtype=np.int64), budget=n,
+        speeds=draw(st.lists(st.sampled_from([0.0, 1.0, 2.0, 3.0, 7.5]),
+                             min_size=n, max_size=n)),
+        bandwidths=draw(st.lists(st.sampled_from([0.0, 1.0, 4.0]),
+                                 min_size=n, max_size=n)),
+        transfer_sizes=draw(st.lists(st.sampled_from([0.0, 1.0, 3.0]),
+                                     min_size=n, max_size=n)))
+    subset = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    totals = testing._effective_capacities(query)[subset].sum(axis=0)
+    assume(totals.sum() > 0)
+    query.preference = np.array([draw(st.integers(0, int(t))) for t in totals],
+                                dtype=np.int64)
+    assume(query.preference.sum() > 0)
+    return query, subset
+
+
+@settings(max_examples=300, deadline=None)
+@given(floor_cases())
+def test_floor_search_matches_flow_only_reference(case):
+    query, subset = case
+    assert_same_assignment(testing.min_makespan_assignment(query, subset),
+                           reference_min_makespan(query, subset))
+
+
+def count_flow_probes(monkeypatch) -> list[int]:
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return maximum_flow(*args, **kwargs)
+
+    monkeypatch.setattr(testing, "maximum_flow", counted)
+    return calls
+
+
+def test_floor_at_the_baseline_makespan_returns_the_baseline(monkeypatch):
+    # The preference takes every sample, so no time before the baseline's
+    # makespan sends enough in all: the floor is that makespan, and the
+    # baseline flow (at row totals) is the answer without another probe.
+    query = testing.DistributionQuery(
+        client_ids=("a", "b", "c"), capacities=[[3, 1], [0, 4], [2, 2]],
+        preference=[5, 7], budget=3, speeds=[2.0, 5.0, 1.0],
+        bandwidths=[1e3, 1e3, 0.0], transfer_sizes=[10.0, 0.0, 0.0])
+    want = reference_min_makespan(query, [0, 1, 2])
+    probes = count_flow_probes(monkeypatch)
+    got = testing.min_makespan_assignment(query, [0, 1, 2])
+    assert probes[0] == 1
+    assert_same_assignment(got, want)
+    assert got.objective_seconds == 4.0  # c's 4th sample
+
+
+def test_flow_search_goes_on_above_a_floor_the_flow_fails(monkeypatch):
+    # At 1 s, a, b and d send one sample each: every category and the total
+    # are met, so the floor is 1 s, but categories 0 and 1 need two samples
+    # that only a (one so far) can send. The flow search goes on from there
+    # and first succeeds at 2 s.
+    query = testing.DistributionQuery(
+        client_ids=("a", "b", "c", "d"),
+        capacities=[[1, 1, 0], [0, 0, 1], [1, 1, 0], [0, 0, 1]],
+        preference=[1, 1, 1], budget=4, speeds=[1.0, 1.0, 0.5, 1.0],
+        bandwidths=np.ones(4), transfer_sizes=np.zeros(4))
+    want = reference_min_makespan(query, [0, 1, 2, 3])
+    lows = []
+    search = testing._threshold_search
+
+    def recording(*args, lo=0.0):
+        lows.append(lo)
+        return search(*args, lo=lo)
+
+    monkeypatch.setattr(testing, "_threshold_search", recording)
+    got = testing.min_makespan_assignment(query, [0, 1, 2, 3])
+    assert lows == [0.0, 1.0]
+    assert_same_assignment(got, want)
+    assert got.objective_seconds == 2.0
 
 
 # -- exact solver against the branch-and-bound reference ----------------------

@@ -215,6 +215,46 @@ def test_montecarlo_rate_matches_enumeration(sampler, population):
     assert abs(rate - exact) <= 4 * sigma, (rate, exact, sigma)
 
 
+def exact_violation_from_multiplicities(values, multiplicity, n, tolerance):
+    """Violation probability summed over every held-count vector, each
+    weighted by its multivariate hypergeometric probability."""
+    population = sum(multiplicity)
+    mean = np.dot(values, multiplicity) / population
+    total = 0.0
+    for head in itertools.product(*(range(min(m, n) + 1)
+                                    for m in multiplicity[:-1])):
+        held = (*head, n - sum(head))
+        if not 0 <= held[-1] <= multiplicity[-1]:
+            continue
+        deviation = abs(np.dot(values, held) / n - mean)
+        assert abs(deviation - tolerance) > 1e-6  # off the rounding boundary
+        if deviation >= tolerance:
+            total += math.prod(math.comb(m, h) for m, h in zip(multiplicity, held))
+    return total / math.comb(population, n)
+
+
+def test_montecarlo_few_values_draws_by_marginals():
+    # Three values in a population of 100 and a sample of 40: 8 * 3 is
+    # below min(40, 60), so the draw goes value by value ("marginals").
+    values, multiplicity = [0.0, 5.0, 10.0], [30, 50, 20]
+    n, trials, tolerance, seed = 40, 20_000, 0.56, 3
+    counts = np.repeat(values, multiplicity)
+    np.random.default_rng(0).shuffle(counts)
+    exact = exact_violation_from_multiplicities(values, multiplicity, n,
+                                                tolerance)
+    assert 0.1 < exact < 0.9
+    q = DeviationQuery(tolerance=tolerance, population=100,
+                       sample_count_range=(0.0, 10.0))
+    rate = verify_bound_montecarlo(q, counts, n, trials, seed=seed)
+    sigma = math.sqrt(exact * (1 - exact) / trials)
+    assert abs(rate - exact) <= 4 * sigma, (rate, exact, sigma)
+    # All trials fit one block, so this is the sampler's own draw.
+    held = np.random.default_rng(seed).multivariate_hypergeometric(
+        multiplicity, n, size=trials, method="marginals")
+    deviation = np.abs(held @ np.array(values) / n - counts.mean())
+    assert rate == np.count_nonzero(deviation >= tolerance) / trials
+
+
 def test_montecarlo_whole_population_is_exact():
     # Tolerance far below the rounding of any mean, so only the exact
     # identity of sample and population can report no violation.
