@@ -141,7 +141,7 @@ def compose_testset(query_path, capacities_path, clients_path, out_path, exact):
         ids, caps = testing.read_capacity_file(capacities_path)
         table = testing.read_client_table(clients_path) if clients_path else None
         query = testing.load_distribution_query(descriptor, ids, caps, table)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, RecursionError) as exc:
         raise click.UsageError(f"bad testing query: {exc}") from exc
     if table and (unmatched := table.keys() - set(ids)):
         click.echo(f"clients: {len(unmatched)} rows did not match any client")
@@ -273,7 +273,7 @@ def _load_run_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
-    except ValueError as exc:  # not UTF-8, or not JSON
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep
         raise click.UsageError(f"run config is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise click.UsageError(f"run config must be a JSON object, "

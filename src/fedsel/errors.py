@@ -90,8 +90,13 @@ def read_table(path: str, columns: tuple[str, ...], kind: type = float,
     """Line number, id and finite ``kind`` values of each non-blank row of a
     tab- or comma-separated table with header ``columns``, id column first.
     An empty file has no rows; a bad header, cell count or number raises."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        lines = data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise error(path, data.count(b"\n", 0, exc.start) + 1,
+                    f"not UTF-8: {exc.reason}") from exc
     if not lines:
         return []
     sep = "\t" if "\t" in lines[0] else ","

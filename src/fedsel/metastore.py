@@ -4,9 +4,11 @@ A single-writer store of per-client aggregates fed by round feedback. The
 store keeps one numpy column per field, rows in client-id order, so a client
 costs a constant handful of values no matter how many rounds it has
 participated in. Selectors read immutable snapshot views made of read-only
-column copies; the whole store can be checkpointed to a versioned JSON file
-and restored bit-identically. A store that saves keeps each row's JSON text
-between saves and renders again only the rows written since the last one.
+column copies; the whole store can be checkpointed to one file and restored
+bit-identically. A checkpoint is a ``fedsel-metastore-v2`` archive: an
+uncompressed ``.npz`` of the typed columns and the client ids, with a small
+JSON header. Files in the earlier ``fedsel-metastore-v1`` JSON format still
+load; the format of a file is told by its first bytes.
 """
 
 from __future__ import annotations
@@ -14,17 +16,21 @@ from __future__ import annotations
 import json
 import math
 import os
+import struct
 import threading
+import zipfile
 from dataclasses import dataclass
-from json.encoder import encode_basestring_ascii
-from typing import Iterable, Mapping, Sequence
+from typing import BinaryIO, Iterable, Mapping
 
 import numpy as np
 
 from .errors import CheckpointError, StaleFeedbackError, UnknownClientError
 from .training import clip_cap
 
-CHECKPOINT_VERSION = "fedsel-metastore-v1"
+CHECKPOINT_FORMAT = "fedsel-metastore-v2"
+_V1_FORMAT = "fedsel-metastore-v1"
+# A v2 file is a zip archive; anything else is read as v1 JSON.
+_ZIP_MAGIC = b"PK\x03\x04"
 
 # Per-client columns in checkpoint field order (after ``client_id``).
 # ``speed_hint`` is NaN for a client registered without a hint.
@@ -109,37 +115,37 @@ class StoreView:
 # -- checkpoints -------------------------------------------------------------
 
 _RECORD_KEYS = frozenset(["client_id", *(name for name, _ in _COLUMNS)])
-_RECORD_FORMAT = ('{"client_id":%s,"speed_hint":%s,"stat_utility":%s,'
-                  '"last_round":%s,"duration":%s,"times_selected":%s,'
-                  '"blacklisted":%s,"explored":%s}')
 _JSON_TYPES = {np.float64: {int, float}, np.int64: {int}, np.bool_: {bool}}
+_HEADER_KEYS = frozenset(["format", "round_index", "preferred_duration",
+                          "utility_history"])
+# The v2 archive's 1-d members: every client id's UTF-8 bytes back to back,
+# where each id ends in the decoded text, then the columns. A 0-d ``header``
+# string holds the rest as JSON.
+_MEMBER_DTYPES = {"client_ids": np.dtype(np.uint8),
+                  "client_id_ends": np.dtype(np.int64),
+                  **{name: np.dtype(dtype) for name, dtype in _COLUMNS}}
+_MEMBER_FILES = sorted(f"{name}.npy" for name in ["header", *_MEMBER_DTYPES])
+# What zipfile and numpy's .npy reader raise on a damaged archive whose
+# members are stored uncompressed.
+_ARCHIVE_ERRORS = (OSError, EOFError, ValueError, KeyError, RuntimeError,
+                   NotImplementedError, MemoryError, struct.error,
+                   zipfile.BadZipFile, zipfile.LargeZipFile)
 
 
 def _as_float(value: object, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise CheckpointError(f"{name} must be a number, got {value!r}")
+    try:
+        value = float(value)
+    except OverflowError:
+        raise CheckpointError(f"{name} is out of range") from None
     if not math.isfinite(value):
         raise CheckpointError(f"{name} must be finite, got {value!r}")
-    return float(value)
-
-
-def _json_tokens(col: np.ndarray) -> list[str]:
-    """The JSON text of each element, as ``json.dumps`` writes it."""
-    if col.size == 0:
-        return []
-    return json.dumps(col.tolist(), separators=(",", ":"))[1:-1].split(",")
-
-
-def _render_rows(ids: Sequence[str], cols: Sequence[np.ndarray]) -> list[str]:
-    """The v1 JSON text of each record; ``cols`` are in ``_COLUMNS`` order."""
-    hints, *rest = map(_json_tokens, cols)
-    hints = ["null" if h == "NaN" else h for h in hints]
-    return list(map(_RECORD_FORMAT.__mod__, zip(
-        map(encode_basestring_ascii, ids), hints, *rest)))
+    return value
 
 
 def _decode_table(rows: object) -> ClientTable:
-    """Typed decoding of the checkpoint's record list into columns."""
+    """Typed decoding of a v1 checkpoint's record list into columns."""
     if not isinstance(rows, list):
         raise CheckpointError("records must be a list")
     for row in rows:
@@ -155,7 +161,7 @@ def _decode_table(rows: object) -> ClientTable:
             raise CheckpointError(f"{name} has the wrong type: {bad!r}")
         if name == "speed_hint":
             # NaN is how the column spells "no hint"; only null may say that.
-            if any(v is not None and math.isnan(v) for v in values):
+            if any(type(v) is float and math.isnan(v) for v in values):
                 raise CheckpointError("speed_hint must be finite")
             values = [math.nan if v is None else v for v in values]
         try:
@@ -165,8 +171,33 @@ def _decode_table(rows: object) -> ClientTable:
     return ClientTable(tuple(row["client_id"] for row in rows), **cols)
 
 
+def _encode_ids(ids: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The ids' UTF-8 bytes back to back, and where each id ends in code points.
+
+    Bytes rather than a numpy string array, which would drop trailing NULs;
+    ``surrogatepass`` keeps lone surrogates, which are valid ``str`` ids.
+    """
+    blob = "".join(ids).encode("utf-8", "surrogatepass")
+    ends = np.cumsum(np.fromiter(map(len, ids), np.int64, len(ids)))
+    return np.frombuffer(blob, np.uint8), ends
+
+
+def _decode_ids(blob: np.ndarray, ends: np.ndarray) -> tuple[str, ...]:
+    """The inverse of :func:`_encode_ids`, for ends that split the text."""
+    try:
+        text = blob.tobytes().decode("utf-8", "surrogatepass")
+    except UnicodeDecodeError as exc:
+        raise CheckpointError(f"client ids are not UTF-8: {exc}") from exc
+    starts = np.zeros_like(ends)
+    starts[1:] = ends[:-1]
+    if np.any(ends < starts) or (int(ends[-1]) if len(ends) else 0) != len(text):
+        raise CheckpointError("client id ends do not split the id text")
+    return tuple(map(text.__getitem__,
+                     map(slice, starts.tolist(), ends.tolist())))
+
+
 def _check_table(table: ClientTable, round_index: int) -> None:
-    if not all(type(cid) is str for cid in table.ids):
+    if not set(map(type, table.ids)) <= {str}:
         raise CheckpointError("client ids must be strings")
     if len(set(table.ids)) != len(table.ids):
         raise CheckpointError("checkpoint contains duplicate client ids")
@@ -195,16 +226,12 @@ class Checkpoint:
     order; :meth:`MetaStore.restore` sorts it.
     """
 
-    version: str
     round_index: int
     preferred_duration: float
     utility_history: tuple[float, ...]
     table: ClientTable
 
     def __post_init__(self):
-        if self.version != CHECKPOINT_VERSION:
-            raise CheckpointError(
-                f"unsupported checkpoint version {self.version!r}")
         r = self.round_index
         if type(r) is not int or r < 0:
             raise CheckpointError(f"round_index must be an int >= 0, got {r!r}")
@@ -224,35 +251,99 @@ class Checkpoint:
         object.__setattr__(self, "preferred_duration", t_pref)
         object.__setattr__(self, "utility_history", history)
 
-    def _head(self) -> str:
-        """The JSON text before the first record."""
-        head = json.dumps({
-            "version": self.version,
+    def _write(self, fh: BinaryIO, blob: np.ndarray, ends: np.ndarray) -> None:
+        """Write a v2 archive; ``blob`` and ``ends`` encode ``table.ids``."""
+        header = json.dumps({
+            "format": CHECKPOINT_FORMAT,
             "round_index": self.round_index,
             "preferred_duration": self.preferred_duration,
             "utility_history": list(self.utility_history),
         }, separators=(",", ":"))
-        return f'{head[:-1]},"records":['
-
-    def to_json(self) -> str:
         t = self.table
-        rows = _render_rows(t.ids, [getattr(t, name) for name, _ in _COLUMNS])
-        return f'{self._head()}{",".join(rows)}]}}'
+        np.savez(fh, header=np.array(header), client_ids=blob,
+                 client_id_ends=ends,
+                 **{name: getattr(t, name) for name, _ in _COLUMNS})
+
+    @classmethod
+    def read(cls, path: str) -> "Checkpoint":
+        """Decode a checkpoint file: a v2 archive if it starts with the zip
+        magic, else v1 JSON. Every decoding failure is a CheckpointError."""
+        try:
+            with open(path, "rb") as fh:
+                if fh.read(len(_ZIP_MAGIC)) == _ZIP_MAGIC:
+                    fh.seek(0)
+                    return cls._from_archive(fh)
+                fh.seek(0)
+                data = fh.read()
+        except OSError as exc:
+            raise CheckpointError(f"cannot read checkpoint: {exc}") from exc
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"checkpoint is not UTF-8: {exc}") from exc
+        return cls.from_json(text)
+
+    @classmethod
+    def _from_archive(cls, fh: BinaryIO) -> "Checkpoint":
+        """Decode a v2 archive with exactly the members, dtypes and shapes
+        that :meth:`_write` gives it."""
+        try:
+            with np.load(fh, allow_pickle=False) as npz:
+                infos = npz.zip.infolist()
+                if (sorted(info.filename for info in infos) != _MEMBER_FILES
+                        or any(info.compress_type != zipfile.ZIP_STORED
+                               for info in infos)):
+                    raise CheckpointError(
+                        f"checkpoint must hold exactly the uncompressed "
+                        f"members {', '.join(_MEMBER_FILES)}")
+                members = {name: npz[name] for name in npz.files}
+        except _ARCHIVE_ERRORS as exc:
+            raise CheckpointError(f"checkpoint archive is unreadable: {exc}") from exc
+        header = members.pop("header")
+        if not (type(header) is np.ndarray and header.shape == ()
+                and header.dtype.kind == "U"):
+            raise CheckpointError("checkpoint header must be a 0-d string")
+        for name, arr in members.items():
+            dtype = _MEMBER_DTYPES[name]
+            if not (type(arr) is np.ndarray and arr.dtype == dtype
+                    and arr.ndim == 1):
+                raise CheckpointError(f"{name} must be a 1-d {dtype} array")
+        ends = members.pop("client_id_ends")
+        blob = members.pop("client_ids")
+        if any(col.shape != ends.shape for col in members.values()):
+            raise CheckpointError("columns do not match the client ids")
+        for name, dtype in _COLUMNS:
+            if dtype is np.bool_ and np.any(members[name].view(np.uint8) > 1):
+                raise CheckpointError(f"{name} must hold only 0 and 1")
+        try:
+            head = json.loads(str(header))
+        except (ValueError, RecursionError) as exc:
+            raise CheckpointError(f"checkpoint header is not JSON: {exc}") from exc
+        if not isinstance(head, dict) or head.keys() != _HEADER_KEYS:
+            raise CheckpointError(f"malformed checkpoint header: {head!r:.200}")
+        if head["format"] != CHECKPOINT_FORMAT:
+            raise CheckpointError(
+                f"unsupported checkpoint format {head['format']!r:.200}")
+        return cls(round_index=head["round_index"],
+                   preferred_duration=head["preferred_duration"],
+                   utility_history=head["utility_history"],
+                   table=ClientTable(_decode_ids(blob, ends), **members))
 
     @classmethod
     def from_json(cls, text: str) -> "Checkpoint":
+        """Decode a ``fedsel-metastore-v1`` JSON checkpoint."""
         try:
             payload = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # Not JSON, an integer too long to parse, or nested too deep.
             raise CheckpointError(f"checkpoint is not valid JSON: {exc}") from exc
         if not isinstance(payload, dict) or "version" not in payload:
             raise CheckpointError("checkpoint is missing its version field")
-        if payload["version"] != CHECKPOINT_VERSION:
+        if payload["version"] != _V1_FORMAT:
             raise CheckpointError(
-                f"unsupported checkpoint version {payload['version']!r}")
+                f"unsupported checkpoint version {payload['version']!r:.200}")
         try:
             return cls(
-                version=payload["version"],
                 round_index=payload["round_index"],
                 preferred_duration=payload["preferred_duration"],
                 utility_history=payload["utility_history"],
@@ -288,14 +379,13 @@ class MetaStore:
         # Rows past len(self._ids) stay zero until a client registers there.
         self._cols = {name: np.zeros(_MIN_CAPACITY, dtype)
                       for name, dtype in _COLUMNS}
-        # Rows whose JSON text in _row_text is current; kept out of _cols so
-        # views never see it. The text list is made by the first save.
-        self._rendered = np.zeros(_MIN_CAPACITY, np.bool_)
-        self._row_text: list[str] | None = None
         # False while some row is out of client-id order; _index sorts them.
         self._sorted = True
         # (ids, slots) shared by views; rebuilt after a registration.
         self._frozen: tuple[tuple[str, ...], Mapping[str, int]] | None = None
+        # (ids, blob, ends) from _encode_ids, made by a save; current while
+        # ids is the _frozen ids tuple.
+        self._encoded_ids: tuple[tuple[str, ...], np.ndarray, np.ndarray] | None = None
         self._round = 0
         self._preferred_duration = float(preferred_duration)
         self._utility_history: list[float] = []
@@ -335,7 +425,6 @@ class MetaStore:
             return bigger
 
         self._cols = {name: grown(col) for name, col in self._cols.items()}
-        self._rendered = grown(self._rendered)
 
     def advance_round(self) -> int:
         """Open the next round; returns its index (1-based)."""
@@ -423,7 +512,6 @@ class MetaStore:
             times[rows] += 1
             explored[rows] = True
             cols["blacklisted"][rows] |= times[rows] >= self.blacklist_threshold
-            self._rendered[rows] = False
             # Summed in feedback order, so the history is bit-reproducible.
             achieved = 0.0
             for v in kept.tolist():
@@ -445,11 +533,8 @@ class MetaStore:
         n = len(self._ids)
         perm = sorted(range(n), key=self._ids.__getitem__)
         rows = np.array(perm, dtype=np.intp)
-        for col in (*self._cols.values(), self._rendered):
+        for col in self._cols.values():
             col[:n] = col[rows]
-        if self._row_text is not None:
-            text = self._row_text + [""] * (n - len(self._row_text))
-            self._row_text = [text[i] for i in perm]
         self._ids = [self._ids[i] for i in perm]
         self._slots = {cid: i for i, cid in enumerate(self._ids)}
         self._sorted = True
@@ -479,7 +564,6 @@ class MetaStore:
 
     def _snapshot(self) -> Checkpoint:
         return Checkpoint(
-            version=CHECKPOINT_VERSION,
             round_index=self._round,
             preferred_duration=self._preferred_duration,
             utility_history=tuple(self._utility_history),
@@ -500,8 +584,6 @@ class MetaStore:
             self._ids = list(table.ids)
             self._slots = {cid: i for i, cid in enumerate(table.ids)}
             self._cols = cols
-            self._rendered = np.zeros(len(cols["explored"]), np.bool_)
-            self._row_text = None
             self._sorted = False
             self._frozen = None
             self._round = checkpoint.round_index
@@ -509,35 +591,25 @@ class MetaStore:
             self._utility_history = list(checkpoint.utility_history)
 
     def save(self, path: str) -> None:
-        """Write ``snapshot().to_json()`` atomically.
+        """Write the snapshot as a ``fedsel-metastore-v2`` archive, atomically.
 
-        Each row's text is kept between saves, so only the rows registered
-        or written since the last save are rendered again.
+        The archive is one uncompressed ``.npz`` (without the suffix): a 0-d
+        JSON header with the format, round index, preferred duration and
+        utility history, the encoded client ids and the seven columns, rows
+        in client-id order. It is written to ``path.tmp`` and renamed over
+        ``path``. The ids are encoded by the first save after a
+        registration, sort or restore, and reused until the next one.
         """
         with self._lock:
-            head = self._snapshot()._head()
-            n = len(self._ids)
-            if self._row_text is None:
-                self._row_text = []
-            text = self._row_text
-            text.extend([""] * (n - len(text)))
-            stale = np.flatnonzero(~self._rendered[:n])
-            fresh = _render_rows([self._ids[i] for i in stale.tolist()],
-                                 [self._cols[name][stale] for name, _ in _COLUMNS])
-            for row, line in zip(stale.tolist(), fresh):
-                text[row] = line
-            self._rendered[stale] = True
+            checkpoint = self._snapshot()
+            ids = checkpoint.table.ids
+            if self._encoded_ids is None or self._encoded_ids[0] is not ids:
+                self._encoded_ids = (ids, *_encode_ids(ids))
             tmp = f"{path}.tmp"
-            with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write(head)
-                fh.write(",".join(text))
-                fh.write("]}")
+            with open(tmp, "wb") as fh:
+                checkpoint._write(fh, *self._encoded_ids[1:])
             os.replace(tmp, path)
 
     def load(self, path: str) -> None:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise CheckpointError(f"cannot read checkpoint: {exc}") from exc
-        self.restore(Checkpoint.from_json(text))
+        """Restore from a v2 or v1 checkpoint file; see :meth:`Checkpoint.read`."""
+        self.restore(Checkpoint.read(path))

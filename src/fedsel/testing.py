@@ -26,6 +26,7 @@ from .errors import (BudgetExceededError, InfeasibleQueryError, SizeGuardError,
 _EXACT_MAX_CLIENTS, _EXACT_MAX_CATEGORIES = 20, 5
 # (speed, bandwidth, transfer_bytes) of a client missing from the client table.
 _DEFAULT_CLIENT = (10.0, 1e6, 1e6)
+_INT64_MAX = int(np.iinfo(np.int64).max)
 # Trials per Monte-Carlo draw times distinct count values: one block's
 # held-count matrix stays about 0.5 MB.
 _BLOCK_CELLS = 2 ** 16
@@ -244,6 +245,9 @@ def read_capacity_file(path: str) -> tuple[list[str], np.ndarray]:
     for line_no, cid, (cat, count) in read_table(path, columns, int):
         if cat < 0 or count < 0:
             raise TableParseError(path, line_no, "category and count must be >= 0")
+        if max(cat, count) > _INT64_MAX:
+            raise TableParseError(path, line_no,
+                                  "category and count must be < 2**63")
         if (cid, cat) in cells:
             raise TableParseError(path, line_no,
                                   f"duplicate row for {cid!r}, category {cat}")

@@ -137,7 +137,8 @@ def test_simulate_train_rejects_bad_run_config(runner, tmp_path, overrides,
     ("{\"k\": 4,", "not valid JSON"),
     ("3", "must be a JSON object, got int"),
     ("[1, 2]", "must be a JSON object, got list"),
-], ids=["not_json", "int", "list"])
+    ("[" * 100_000, "not valid JSON"),
+], ids=["not_json", "int", "list", "deep_nesting"])
 def test_simulate_train_rejects_unreadable_run_config(runner, tmp_path, text,
                                                       message):
     path = tmp_path / "run.json"
@@ -278,7 +279,8 @@ def test_compose_testset_exact_without_cover_keeps_budget_error(runner, tmp_path
     assert not out.exists()
 
 
-@pytest.mark.parametrize("case", ["bad_capacity", "nan_speed", "malformed_query"])
+@pytest.mark.parametrize("case", ["bad_capacity", "nan_speed", "malformed_query",
+                                  "huge_count", "deep_query"])
 def test_compose_testset_bad_input_is_a_usage_error(runner, tmp_path, case):
     query, caps = write_query_files(tmp_path)
     clients = tmp_path / "clients.tsv"
@@ -289,8 +291,13 @@ def test_compose_testset_bad_input_is_a_usage_error(runner, tmp_path, case):
     elif case == "nan_speed":
         clients.write_text("client_id\tspeed\tbandwidth\ttransfer_bytes\n"
                            "a\tnan\t1000\t10\n")
-    else:
+    elif case == "malformed_query":
         (tmp_path / "query.json").write_text('{"preference": [5, 5], "budget"')
+    elif case == "huge_count":
+        (tmp_path / "caps.tsv").write_text(
+            f"client_id,category,count\na,0,{2 ** 63}\n")
+    else:
+        (tmp_path / "query.json").write_text("[" * 100_000)
     out = tmp_path / "assign.tsv"
     result = runner.invoke(main, ["compose-testset", "--query", query,
                                   "--capacities", caps, "--clients", str(clients),

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
+import io
 import json
 import math
 import os
@@ -18,6 +20,7 @@ from fedsel import metastore
 from fedsel.errors import CheckpointError, StaleFeedbackError, UnknownClientError
 from fedsel.metastore import Checkpoint, MetaStore, RoundFeedback, StoreView
 from fedsel.training import SelectorConfig, TrainingSelector
+from checkpoint_oracle import render_v1
 
 
 def store(**kwargs) -> MetaStore:
@@ -165,7 +168,7 @@ def test_non_str_client_id_rejected_and_store_untouched(tmp_path, client_id):
     assert s.client_count == 1 and s.client_ids() == ["a"]
     assert s.snapshot() == before
     assert s.advance_round() == 1
-    assert Checkpoint.from_json(path.read_text()).round_index == 1
+    assert Checkpoint.read(str(path)).round_index == 1
 
 
 def test_feedback_before_the_first_round_rejected_and_store_untouched():
@@ -227,25 +230,40 @@ def test_restore_of_truncated_file_errors_and_preserves_state(tmp_path):
     before = s.snapshot()
     path = tmp_path / "cp.json"
     s.save(str(path))
-    text = path.read_text()
-    path.write_text(text[:len(text) // 2])
+    data = path.read_bytes()
+    path.write_bytes(data[:len(data) // 2])
     with pytest.raises(CheckpointError):
         s.load(str(path))
     assert s.snapshot() == before
+
+
+def archive_members(path) -> dict:
+    with np.load(path, allow_pickle=False) as npz:
+        return {name: npz[name] for name in npz.files}
+
+
+def header_of(members: dict) -> dict:
+    return json.loads(str(members["header"]))
 
 
 def test_restore_version_mismatch_errors(tmp_path):
     s = store()
     s.register_client("a")
-    path = tmp_path / "cp.json"
-    s.save(str(path))
-    payload = json.loads(path.read_text())
+    v2, v1 = tmp_path / "cp.npz", tmp_path / "cp.json"
+    s.save(str(v2))
+    members = archive_members(v2)
+    members["header"] = np.array(json.dumps(
+        {**header_of(members), "format": "fedsel-metastore-v999"}))
+    with open(v2, "wb") as fh:
+        np.savez(fh, **members)
+    payload = json.loads(render_v1(s.snapshot()))
     payload["version"] = "fedsel-metastore-v999"
-    path.write_text(json.dumps(payload))
+    v1.write_text(json.dumps(payload))
     before = s.snapshot()
-    with pytest.raises(CheckpointError):
-        s.load(str(path))
-    assert s.snapshot() == before
+    for path in (v2, v1):
+        with pytest.raises(CheckpointError, match="v999"):
+            s.load(str(path))
+        assert s.snapshot() == before
 
 
 def test_checkpoint_autosave_cadence(tmp_path):
@@ -257,7 +275,7 @@ def test_checkpoint_autosave_cadence(tmp_path):
         s.advance_round()
         if r % 3 == 0:
             assert path.exists()
-            cp = Checkpoint.from_json(path.read_text())
+            cp = Checkpoint.read(str(path))
             assert cp.round_index == r
             path.unlink()
         else:
@@ -299,7 +317,7 @@ def test_round_trip_preserves_nan_free_floats():
     s = store()
     s.register_client("a")
     feed(s, ("a", 1e-17, 1e9))
-    cp = Checkpoint.from_json(s.snapshot().to_json())
+    cp = Checkpoint.from_json(render_v1(s.snapshot()))
     assert cp.table.stat_utility[0] == 1e-17
     assert cp.table.duration[0] == 1e9
 
@@ -324,14 +342,59 @@ def test_checkpoint_save_load_save_is_byte_identical(tmp_path):
     t.load(str(first))
     t.save(str(second))
     assert first.read_bytes() == second.read_bytes()
-    payload = json.loads(first.read_text())
-    assert payload["version"] == "fedsel-metastore-v1"
-    assert [r["client_id"] for r in payload["records"]] == ["a", "b", "c"]
-    assert payload["records"][0]["speed_hint"] is None
+    assert first.read_bytes()[:4] == b"PK\x03\x04"
+    members = archive_members(first)
+    assert header_of(members) == {
+        "format": "fedsel-metastore-v2", "round_index": 1,
+        "preferred_duration": 10.0, "utility_history": [1.0 / 3.0 + 7.0]}
+    assert bytes(members["client_ids"]) == b"abc"
+    assert members["client_id_ends"].tolist() == [1, 2, 3]
+    assert np.isnan(members["speed_hint"][0])
+    assert members["speed_hint"][1:].tolist() == [0.1 + 0.2, 3.0]
+    assert members["stat_utility"].tolist() == [1.0 / 3.0, 0.0, 7.0]
+    assert members["duration"].tolist() == [2.5, 0.0, 1e-3]
+    assert members["last_round"].tolist() == [1, 0, 1]
+    assert members["times_selected"].tolist() == [1, 0, 1]
+    assert members["explored"].tolist() == [True, False, True]
+    assert members["blacklisted"].tolist() == [False] * 3
 
 
-def saved_checkpoints_digest(tmp_path) -> tuple[str, int]:
-    """Fold the sha256 of every file a seeded autosaving run writes.
+def test_client_ids_round_trip_exactly(tmp_path):
+    # A numpy string array would read "a\x00" back as "a"; v1 round-trips
+    # lone surrogates but reads the pair "\ud83d\ude00" back as "\U0001f600".
+    ids = ["a", "a\x00", "", "\ud800", "\x7f", 'q"uote', "x" * 40,
+           "\ud83d\ude00", "\U0001f600", "caf\u00e9"]
+    s = store()
+    for i, cid in enumerate(ids):
+        s.register_client(cid, speed_hint=None if i % 3 else 1.0 + i)
+    feed(s, ("a\x00", 2.0, 3.0), ("\ud800", 1.0, 1.0))
+    path = tmp_path / "cp.json"
+    s.save(str(path))
+    t = store()
+    t.load(str(path))
+    assert t.client_ids() == sorted(ids)
+    assert t.snapshot() == s.snapshot()
+    assert cells(t.view(), "a\x00")["stat_utility"] == 2.0
+
+
+def test_v1_file_still_loads(tmp_path):
+    s = store()
+    for i in range(12):
+        s.register_client(f"c{i:02d}", speed_hint=None if i % 4 else 0.5 + i)
+    s.register_client('q"uote\\')
+    for r in range(3):
+        feed(s, *((f"c{i:02d}", 0.1 * i + r, 1.0 + i) for i in range(r, 12, 3)))
+    path = tmp_path / "v1.json"
+    path.write_text(render_v1(s.snapshot()), encoding="utf-8")
+    t = store()
+    t.load(str(path))
+    assert t.snapshot() == s.snapshot()
+    assert Checkpoint.read(str(path)) == s.snapshot()
+
+
+def saved_checkpoints_digest(tmp_path) -> tuple[str, str, int]:
+    """Fold every file a seeded autosaving run writes, two ways: the sha256
+    of each file's v1 rendering, and the sha256 of its bytes.
 
     About 2000 clients, one in seven without a speed hint and a few whose
     ids need JSON escaping, a low blacklist threshold, 30 feedback rounds
@@ -359,11 +422,17 @@ def saved_checkpoints_digest(tmp_path) -> tuple[str, int]:
     register(s, [f"c{i:04d}" for i in range(1990)]
              + ['q"uote', "back\\slash", "caf\u00e9", "\u2603", "tab\there",
                 "", " lead", "z" * 40, "c0000 ", "\x7f"])
-    digest, saves = hashlib.sha256(), 0
+    v1_digest, raw_digest, saves = hashlib.sha256(), hashlib.sha256(), 0
+
+    def fold() -> None:
+        text = render_v1(Checkpoint.read(str(path)))
+        v1_digest.update(hashlib.sha256(text.encode()).digest())
+        raw_digest.update(hashlib.sha256(path.read_bytes()).digest())
+
     for _ in range(30):
         r = s.advance_round()
         if r % 5 == 0:
-            digest.update(hashlib.sha256(path.read_bytes()).digest())
+            fold()
             saves += 1
         if r == 15:
             s = autosaving()
@@ -381,52 +450,24 @@ def saved_checkpoints_digest(tmp_path) -> tuple[str, int]:
             RoundFeedback(ids[i], float(v), float(d), r)
             for i, v, d in zip(picks.tolist(), values, durations))
     s.save(str(path))
-    digest.update(hashlib.sha256(path.read_bytes()).digest())
-    return digest.hexdigest(), saves + 1
+    fold()
+    return v1_digest.hexdigest(), raw_digest.hexdigest(), saves + 1
 
 
 def test_golden_saved_checkpoint_digest(tmp_path):
-    # Recorded before save learned to re-render only changed rows; it pins
-    # the checkpoint bytes of every save, not only of the final state.
-    digest, saves = saved_checkpoints_digest(tmp_path)
+    # The v1 digest was recorded when save wrote v1 text: it pins the state
+    # each save holds, read back from the file. The raw digest pins the v2
+    # bytes of every save.
+    v1_digest, raw_digest, saves = saved_checkpoints_digest(tmp_path)
     assert saves == 7
-    assert digest == (
+    assert v1_digest == (
         "0fc93a5e14ff8374c522b814f30b8383bdae718d7d0c9577968c36cac8f182c2")
+    assert raw_digest == (
+        "a9faee59d1fd15b3cc4c297bd462cf3fc758dfd9bd7dea193fb84f7d110ed001")
 
 
-def test_save_renders_only_rows_written_since_the_last_save(tmp_path, monkeypatch):
-    rendered = []
-
-    def counting(ids, cols):
-        rendered.append(len(ids))
-        return render(ids, cols)
-
-    render = metastore._render_rows
-    monkeypatch.setattr(metastore, "_render_rows", counting)
-    s = store()
-    for i in range(6):
-        s.register_client(f"c{i}", speed_hint=None if i % 2 else 1.0 + i)
-    path = tmp_path / "cp.json"
-
-    def saved_rows() -> int:
-        rendered.clear()
-        s.save(str(path))
-        count = sum(rendered)
-        assert path.read_bytes() == s.snapshot().to_json().encode()
-        return count
-
-    assert saved_rows() == 6
-    assert saved_rows() == 0
-    feed(s, ("c1", 2.0, 3.0), ("c4", 1.0, 2.0))
-    s.register_client("b")
-    s.set_preferred_duration(11.0)
-    assert saved_rows() == 3
-    s.restore(s.snapshot())
-    assert saved_rows() == 7
-
-
-# Random interleavings of every store operation; after each save the file is
-# compared with the full renderer in Checkpoint.to_json.
+# Random interleavings of every store operation; after each save the file
+# must decode to the snapshot, and load then save must give the same bytes.
 _STORE_OPS = st.lists(st.one_of(
     st.tuples(st.just("register"), st.text("ab\"\\\u00e9\u2603", max_size=3),
               st.none() | st.floats(1e-3, 1e3)),
@@ -442,16 +483,18 @@ _STORE_OPS = st.lists(st.one_of(
 
 
 def assert_saved_file_matches(s: MetaStore, path: str) -> None:
-    with open(path, "rb") as fh:
-        assert fh.read() == s.snapshot().to_json().encode()
+    assert Checkpoint.read(path) == s.snapshot()
     fresh = store()
     fresh.load(path)
     assert fresh.snapshot() == s.snapshot()
+    fresh.save(f"{path}.again")
+    with open(path, "rb") as one, open(f"{path}.again", "rb") as two:
+        assert one.read() == two.read()
 
 
 @settings(max_examples=150, deadline=None)
 @given(ops=_STORE_OPS)
-def test_incremental_save_matches_the_full_renderer(ops):
+def test_saved_checkpoint_decodes_to_the_snapshot(ops):
     with tempfile.TemporaryDirectory() as tmp:
         auto, path = os.path.join(tmp, "auto.json"), os.path.join(tmp, "cp.json")
         s = store(blacklist_threshold=2, checkpoint_every=2, checkpoint_path=auto)
@@ -558,9 +601,7 @@ def saved_payload(tmp_path) -> dict:
     s.register_client("a", speed_hint=2.0)
     s.register_client("b")
     feed(s, ("a", 4.0, 3.0))
-    path = tmp_path / "cp.json"
-    s.save(str(path))
-    return json.loads(path.read_text())
+    return json.loads(render_v1(s.snapshot()))
 
 
 def corrupt(payload: dict, where: str, value) -> dict:
@@ -591,7 +632,10 @@ def corrupt(payload: dict, where: str, value) -> dict:
     ("preferred_duration", -5.0),
     ("preferred_duration", "10"),
     ("round_index", 1.5),
-], ids=lambda v: repr(v))
+    ("records.speed_hint", 10 ** 400),
+    ("preferred_duration", 10 ** 400),
+    ("utility_history", [10 ** 400]),
+], ids=lambda v: repr(v)[:40])
 def test_bad_checkpoint_rejected_and_store_untouched(tmp_path, where, value):
     payload = saved_payload(tmp_path)
     path = tmp_path / "bad.json"
@@ -625,7 +669,7 @@ def test_checkpoint_in_reverse_id_order_loads_sorted(tmp_path):
         feed(s, *((f"c{i:02d}", 1.0 + i * r, 1.0 + i) for i in range(r, 40, 4)))
     in_order, reversed_ = tmp_path / "in_order.json", tmp_path / "reversed.json"
     s.save(str(in_order))
-    payload = json.loads(in_order.read_text())
+    payload = json.loads(render_v1(s.snapshot()))
     payload["records"].reverse()
     reversed_.write_text(json.dumps(payload, separators=(",", ":")))
 
@@ -654,3 +698,243 @@ def test_restore_rejects_inconsistent_checkpoint_untouched():
     with pytest.raises(CheckpointError):
         dataclasses.replace(cp, utility_history=())
     assert s.snapshot() == cp
+
+
+@pytest.mark.parametrize("data", [
+    b'{"version":"fedsel-metastore-v1","round_index":\xff}',
+    b"[" * 100_000,
+], ids=["invalid_utf8", "deep_nesting"])
+def test_undecodable_v1_file_fails_typed_and_store_untouched(tmp_path, data):
+    path = tmp_path / "cp.json"
+    path.write_bytes(data)
+    s = store()
+    s.register_client("a")
+    feed(s, ("a", 1.0, 1.0))
+    before = s.snapshot()
+    with pytest.raises(CheckpointError):
+        s.load(str(path))
+    assert s.snapshot() == before
+
+
+def test_missing_checkpoint_file_fails_typed(tmp_path):
+    with pytest.raises(CheckpointError):
+        store().load(str(tmp_path / "absent.json"))
+
+
+# -- fuzzing the checkpoint boundary ----------------------------------------------
+
+_FUZZ_IDS = ["a", "a\x00", "", "\ud800", "b", "c"]
+_MEMBERS = ["header", "client_ids", "client_id_ends",
+            *(name for name, _ in metastore._COLUMNS)]
+_FLOAT_COLUMNS = ["speed_hint", "stat_utility", "duration"]
+
+
+def fuzz_store() -> MetaStore:
+    s = store(blacklist_threshold=2)
+    for i, cid in enumerate(_FUZZ_IDS):
+        s.register_client(cid, speed_hint=None if i % 2 else 1.0 + i)
+    feed(s, ("a", 2.0, 3.0), ("b", 1.0, 1.0))
+    feed(s, ("a", 1.0, 2.0), ("c", 5.0, 4.0))
+    return s
+
+
+def assert_loads_or_fails_typed(data: bytes) -> None:
+    """Loading ``data`` succeeds or raises CheckpointError, leaving the store
+    untouched; any other exception fails the test."""
+    s = store()
+    s.register_client("z", speed_hint=3.0)
+    feed(s, ("z", 1.0, 1.0))
+    before = s.snapshot()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cp")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        try:
+            s.load(path)
+        except CheckpointError:
+            assert s.snapshot() == before
+        else:
+            fresh = store()
+            fresh.restore(Checkpoint.read(path))
+            assert s.snapshot() == fresh.snapshot()
+
+
+def byte_mutation():
+    return st.one_of(
+        st.tuples(st.just("truncate"), st.integers(0, 1 << 16)),
+        st.tuples(st.just("flip"), st.lists(st.tuples(
+            st.integers(0, 1 << 16), st.integers(1, 255)), min_size=1,
+            max_size=4)))
+
+
+def apply_bytes(data: bytes, mutation) -> bytes:
+    kind, arg = mutation
+    if kind == "truncate":
+        return data[:arg % (len(data) + 1)]
+    out = bytearray(data)
+    for at, mask in arg:
+        out[at % len(out)] ^= mask
+    return bytes(out)
+
+
+_HUGE = 10 ** 400
+_HEADER_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.just(_HUGE), st.just(-_HUGE),
+    st.floats(), st.text(max_size=4),
+    st.lists(st.floats() | st.integers() | st.just(_HUGE), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
+
+_V2_MUTATIONS = st.one_of(
+    st.tuples(st.just("bytes"), byte_mutation()),
+    st.tuples(st.just("drop"), st.sampled_from(_MEMBERS)),
+    st.tuples(st.just("extra"), st.sampled_from(["extra", "header.npy"])),
+    st.tuples(st.just("object"), st.sampled_from(_MEMBERS)),
+    st.tuples(st.just("dtype"), st.sampled_from(_MEMBERS[1:]),
+              st.sampled_from(["float32", "int32", "float64", "int64",
+                               ">f8", ">i8", "bool", "uint8", "U1"])),
+    st.tuples(st.just("shape"), st.sampled_from(_MEMBERS),
+              st.sampled_from(["2d", "short", "long", "0d", "1d"])),
+    st.tuples(st.just("float"), st.sampled_from(_FLOAT_COLUMNS),
+              st.integers(0, 5), st.sampled_from(
+                  [math.nan, math.inf, -math.inf, -1.0, 0.0, 1e308])),
+    st.tuples(st.just("int"), st.sampled_from(["last_round", "times_selected"]),
+              st.integers(0, 5), st.sampled_from([-1, 0, 3, 2**62, -2**63])),
+    st.tuples(st.just("bool"), st.sampled_from(["blacklisted", "explored"]),
+              st.integers(0, 5), st.integers(0, 255)),
+    st.tuples(st.just("ends"), st.integers(0, 5), st.integers(-3, 12)),
+    st.tuples(st.just("duplicate"), st.integers(0, 5), st.integers(0, 5)),
+    st.tuples(st.just("header_field"), st.sampled_from(
+        ["format", "round_index", "preferred_duration", "utility_history",
+         "extra"]), _HEADER_VALUES),
+    st.tuples(st.just("header_drop"), st.sampled_from(
+        ["format", "round_index", "preferred_duration", "utility_history"])),
+    st.tuples(st.just("header_text"), st.sampled_from(
+        ["", "{", "[]", "null", "[" * 100_000, "1" * 5000,
+         '{"format":"fedsel-metastore-v2","round_index":' + "9" * 5000 + "}"])),
+)
+
+
+def mutate_members(members: dict, mutation) -> dict:
+    kind, *args = mutation
+    members = dict(members)
+    if kind == "drop":
+        del members[args[0]]
+    elif kind == "extra":
+        members[args[0]] = np.zeros(3)
+    elif kind == "object":
+        value = members[args[0]]
+        members[args[0]] = np.array(
+            value.tolist() if value.ndim else [value.item()], dtype=object)
+    elif kind == "dtype":
+        name, dtype = args
+        with np.errstate(invalid="ignore"):  # NaN to an integer dtype
+            members[name] = members[name].astype(dtype)
+    elif kind == "shape":
+        name, how = args
+        value = members[name]
+        flat = value.reshape(-1)
+        members[name] = {"2d": value.reshape(-1, 1), "short": flat[:-1],
+                         "long": np.concatenate([flat, flat[:1]]),
+                         "0d": flat[0], "1d": flat}[how]
+    elif kind in ("float", "int", "bool"):
+        name, row, value = args
+        col = members[name].copy()
+        if kind == "bool":
+            col.view(np.uint8)[row] = value
+        else:
+            col[row] = value
+        members[name] = col
+    elif kind == "ends":
+        row, value = args
+        ends = members["client_id_ends"].copy()
+        ends[row] = value
+        members["client_id_ends"] = ends
+    elif kind == "duplicate":
+        ids = sorted(_FUZZ_IDS)
+        ids[args[0]] = ids[args[1]]
+        members["client_ids"], members["client_id_ends"] = (
+            metastore._encode_ids(tuple(ids)))
+    elif kind == "header_field":
+        header = header_of(members)
+        header[args[0]] = args[1]
+        members["header"] = np.array(json.dumps(header))
+    elif kind == "header_drop":
+        header = header_of(members)
+        del header[args[0]]
+        members["header"] = np.array(json.dumps(header))
+    elif kind == "header_text":
+        members["header"] = np.array(args[0])
+    return members
+
+
+@functools.lru_cache(maxsize=None)
+def fuzz_v2_bytes() -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cp")
+        fuzz_store().save(path)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutation=_V2_MUTATIONS)
+def test_mutated_v2_checkpoint_loads_or_fails_typed(mutation):
+    data = fuzz_v2_bytes()
+    if mutation[0] == "bytes":
+        data = apply_bytes(data, mutation[1])
+    else:
+        members = archive_members(io.BytesIO(data))
+        buf = io.BytesIO()
+        np.savez(buf, **mutate_members(members, mutation))
+        data = buf.getvalue()
+    assert_loads_or_fails_typed(data)
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.just(_HUGE)
+    | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6)
+_V1_FIELDS = ["version", "round_index", "preferred_duration",
+              "utility_history", "records"]
+_V1_RECORD_FIELDS = ["client_id", *(name for name, _ in metastore._COLUMNS)]
+
+_V1_MUTATIONS = st.one_of(
+    st.tuples(st.just("bytes"), byte_mutation()),
+    st.tuples(st.just("field"), st.sampled_from(_V1_FIELDS), _JSON_VALUES),
+    st.tuples(st.just("drop"), st.sampled_from(_V1_FIELDS)),
+    st.tuples(st.just("record_field"), st.integers(0, 5),
+              st.sampled_from(_V1_RECORD_FIELDS), _JSON_VALUES),
+    st.tuples(st.just("record_drop"), st.integers(0, 5),
+              st.sampled_from(_V1_RECORD_FIELDS)),
+    st.tuples(st.just("duplicate"), st.integers(0, 5)),
+    st.tuples(st.just("text"), st.sampled_from(
+        ["", "[" * 100_000, "{" * 3, "1" * 5000, "PK\x03\x04{}", "\ud800"])),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutation=_V1_MUTATIONS)
+def test_mutated_v1_checkpoint_loads_or_fails_typed(mutation):
+    text = render_v1(fuzz_store().snapshot())
+    kind, *args = mutation
+    if kind == "bytes":
+        assert_loads_or_fails_typed(apply_bytes(text.encode(), args[0]))
+        return
+    if kind == "text":
+        assert_loads_or_fails_typed(args[0].encode("utf-8", "surrogatepass"))
+        return
+    payload = json.loads(text)
+    records = payload["records"]
+    if kind == "field":
+        payload[args[0]] = args[1]
+    elif kind == "drop":
+        del payload[args[0]]
+    elif kind == "record_field":
+        records[args[0]][args[1]] = args[2]
+    elif kind == "record_drop":
+        del records[args[0]][args[1]]
+    elif kind == "duplicate":
+        records.append(dict(records[args[0]]))
+    assert_loads_or_fails_typed(json.dumps(payload).encode())

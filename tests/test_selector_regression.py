@@ -2,9 +2,9 @@
 
 The golden digests fold 30 rounds of select plus feedback on a seeded
 2000-client store: every round's picks, every breakdown's final utility, the
-utility history and the final checkpoint text. They pin the picks and the
-checkpoint bytes exactly, so any change to the selector's arithmetic or to
-its random draws shows up here.
+utility history and the final checkpoint as v1 text. They pin the picks and
+the final store state exactly, so any change to the selector's arithmetic or
+to its random draws shows up here.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from fedsel.experiments import canonical_selector_config
 from fedsel.metastore import ClientTable, MetaStore, RoundFeedback, StoreView
 from fedsel.training import (TrainingSelector, staleness_bonus, system_penalty,
                              weighted_sample_without_replacement)
+from checkpoint_oracle import render_v1
 
 GOLDEN_CLIENTS = 2000
 GOLDEN_ROUNDS = 30
@@ -64,7 +65,7 @@ def golden_digest(seed: int = 7, **overrides) -> str:
             RoundFeedback(cid, float(v), float(durations[int(cid[1:])]), r)
             for cid, v in zip(picks, values))
     digest.update(repr(store.view().utility_history).encode())
-    digest.update(store.snapshot().to_json().encode())
+    digest.update(render_v1(store.snapshot()).encode())
     return digest.hexdigest()
 
 

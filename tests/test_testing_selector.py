@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fedsel.errors import (BudgetExceededError, InfeasibleQueryError,
-                           SizeGuardError)
+                           SizeGuardError, TableParseError)
 from fedsel.testing import (Assignment, DeviationQuery, DistributionQuery,
                             min_makespan_assignment,
                             compile_representative_preference,
@@ -532,6 +532,26 @@ def test_capacity_file_rejects_bad_header(tmp_path):
     path.write_text("who\twhat\thow\na\t0\t1\n")
     with pytest.raises(ValueError, match="header"):
         read_capacity_file(str(path))
+
+
+@pytest.mark.parametrize("rows, message", [
+    (b"a\t0\t1\n\xff\t0\t1\n", r"caps\.tsv:3: not UTF-8"),
+    (f"a\t0\t{2 ** 63}\n".encode(), r"caps\.tsv:2: .* < 2\*\*63"),
+    (f"a\t{2 ** 64}\t1\n".encode(), r"caps\.tsv:2: .* < 2\*\*63"),
+], ids=["invalid_utf8", "count_2_63", "category_2_64"])
+def test_capacity_file_rejects_unreadable_rows_typed(tmp_path, rows, message):
+    path = tmp_path / "caps.tsv"
+    path.write_bytes(b"client_id\tcategory\tcount\n" + rows)
+    with pytest.raises(TableParseError, match=message):
+        read_capacity_file(str(path))
+
+
+def test_client_table_rejects_invalid_utf8_typed(tmp_path):
+    path = tmp_path / "clients.tsv"
+    path.write_bytes(b"client_id\tspeed\tbandwidth\ttransfer_bytes\n"
+                     b"caf\xe9\t1.0\t1000\t10\n")
+    with pytest.raises(TableParseError, match=r"clients\.tsv:2: not UTF-8"):
+        read_client_table(str(path))
 
 
 def test_capacity_file_rejects_duplicate_cell(tmp_path):
