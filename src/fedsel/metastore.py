@@ -584,7 +584,8 @@ class MetaStore:
             self._ids = list(table.ids)
             self._slots = {cid: i for i, cid in enumerate(table.ids)}
             self._cols = cols
-            self._sorted = False
+            # Saved files and snapshots hold their rows in client-id order.
+            self._sorted = all(map(str.__lt__, table.ids, table.ids[1:]))
             self._frozen = None
             self._round = checkpoint.round_index
             self._preferred_duration = checkpoint.preferred_duration

@@ -26,8 +26,9 @@ import numpy as np
 from . import model
 from .errors import CheckpointError, EmptySelectionError, FedselError
 from .metastore import Checkpoint, MetaStore, RoundFeedback
-from .training import (SelectorConfig, TrainingSelector, gradient_norm_utility,
-                       scheduled_pacer_tick, statistical_utility)
+from .training import (SelectorConfig, TrainingSelector,
+                       aggregate_statistical_utility, gradient_norm_utility,
+                       scheduled_pacer_tick)
 from .workload import SimWorld
 
 logger = logging.getLogger(__name__)
@@ -241,8 +242,7 @@ class TrainingSession:
             if self.config.utility_mode == "gradient_norm_batches":
                 utilities = [gradient_norm_utility(n) for n in batch_norms]
             else:
-                utilities = [statistical_utility(part) for part in
-                             np.split(losses, np.cumsum(sizes)[:-1])]
+                utilities = _statistical_utilities(losses, sizes)
             self.weights = np.einsum("i,ijk->jk",
                                      np.full(len(models), 1.0 / len(models)),
                                      models)
@@ -320,6 +320,21 @@ class TrainingSession:
     def blacklisted_ids(self) -> set[str]:
         table = self.store.view().table
         return {table.ids[row] for row in np.flatnonzero(table.blacklisted)}
+
+
+def _statistical_utilities(losses: np.ndarray, sizes: list[int]) -> list[float]:
+    """Each client's statistical utility from its consecutive slice of the
+    per-sample losses, via the (sum of squared losses, bin size) pair.
+
+    The pairwise ``.sum()`` of a slice is the sum ``np.mean`` takes, so each
+    value equals ``statistical_utility`` of the slice bit for bit.
+    """
+    if not (np.isfinite(losses).all() and (losses >= 0).all()):
+        raise ValueError("sample losses must be finite and nonnegative")
+    squares = losses * losses
+    ends = np.cumsum(sizes).tolist()
+    return [aggregate_statistical_utility(float(squares[end - n:end].sum()), n)
+            for end, n in zip(ends, sizes)]
 
 
 def corrupt_clients(world: SimWorld, fraction: float | None = None,

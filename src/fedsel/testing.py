@@ -354,14 +354,17 @@ def greedy_cover(query: DistributionQuery) -> Assignment:
     Phase 1 (:func:`_greedy_picks`) repeatedly picks the client contributing
     the most samples toward the not-yet-satisfied categories. Phase 2 is
     :func:`min_makespan_assignment` over the chosen subset (budget constraint
-    dropped).
+    dropped). Phase 2 may leave a pick without samples, so the budget is
+    checked against the clients its assignment uses, not the picks.
     """
     caps = _effective_capacities(query)
     _check_capacity(query, caps)
     picked = _greedy_picks(caps, query.preference, query.client_ids)
-    if len(picked) > query.budget:
-        raise BudgetExceededError(required=len(picked), budget=query.budget)
-    return min_makespan_assignment(query, sorted(picked))
+    assignment = min_makespan_assignment(query, sorted(picked))
+    if assignment.participant_count > query.budget:
+        raise BudgetExceededError(required=assignment.participant_count,
+                                  budget=query.budget)
+    return assignment
 
 
 def exact_milp(query: DistributionQuery) -> Assignment:

@@ -246,6 +246,39 @@ def test_exact_is_valid_and_never_worse_than_greedy(query):
             <= greedy.objective_seconds * (1 + 1e-9)
 
 
+def test_greedy_budget_counts_assigned_clients_not_idle_picks():
+    # Phase 1 picks four clients here, and phase 2 leaves one of them idle.
+    query = _random_query(8, 3, 2126329534)
+    caps = testing._effective_capacities(query)
+    assert len(testing._greedy_picks(caps, query.preference,
+                                     query.client_ids)) == 4
+    free = testing.greedy_cover(query)
+    assert free.participant_count == 3
+    assert_same_assignment(
+        testing.greedy_cover(dataclasses.replace(query, budget=3)), free)
+    with pytest.raises(BudgetExceededError) as exc:
+        testing.greedy_cover(dataclasses.replace(query, budget=2))
+    assert exc.value.required == 3
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_queries())
+def test_greedy_at_its_own_participant_count_keeps_its_cover(query):
+    try:
+        free = testing.greedy_cover(
+            dataclasses.replace(query, budget=query.n_clients))
+    except InfeasibleQueryError:
+        return
+    assert_same_assignment(testing.greedy_cover(
+        dataclasses.replace(query, budget=free.participant_count)), free)
+    if free.participant_count > query.budget:
+        with pytest.raises(BudgetExceededError) as exc:
+            testing.greedy_cover(query)
+        assert exc.value.required == free.participant_count
+    else:
+        assert_same_assignment(testing.greedy_cover(query), free)
+
+
 # -- greedy phase 1 against the full-rescan reference -------------------------
 
 

@@ -688,6 +688,31 @@ def test_checkpoint_in_reverse_id_order_loads_sorted(tmp_path):
             == sel.select_participants(from_sorted.view(), 12, r)[0])
 
 
+def test_load_keeps_the_id_order_of_a_saved_file(tmp_path, monkeypatch):
+    s = store()
+    for i in reversed(range(40)):
+        s.register_client(f"c{i:02d}", speed_hint=1.0 + i)
+    feed(s, *((f"c{i:02d}", 1.0 + i, 2.0) for i in range(0, 40, 3)))
+    path = tmp_path / "store.ckpt"
+    s.save(str(path))
+    want = s.view()
+
+    sorts = []
+    monkeypatch.setattr(MetaStore, "_sort", lambda self: sorts.append(self))
+    loaded, restored = store(), store()
+    loaded.load(str(path))
+    restored.restore(s.snapshot())
+    for t in (loaded, restored):
+        got = t.view()
+        assert got.table == want.table
+        assert got.slots == want.slots
+    assert sorts == []
+    monkeypatch.undo()
+
+    loaded.register_client("a")
+    assert loaded.client_ids() == ["a", *want.table.ids]
+
+
 def test_restore_rejects_inconsistent_checkpoint_untouched():
     s = store()
     s.register_client("a")

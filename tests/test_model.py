@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fedsel import model
 from fedsel.experiments import (CANONICAL_K, canonical_population_spec,
                                 canonical_selector_config)
 from fedsel.simulation import TrainingSession
 from fedsel.workload import generate_population
-from loss_oracles import mean_loss, per_sample_losses
+from loss_oracles import log_softmax, mean_loss, per_sample_losses
 
 
 def reference_epoch(weights, features, labels, learning_rate, batch_size, rng):
@@ -77,6 +78,28 @@ def test_per_sample_losses_positive_and_match_mean():
     assert np.all(losses > 0)
     assert mean_loss(weights, features, labels) == pytest.approx(
         float(losses.mean()))
+
+
+@st.composite
+def logit_arrays(draw):
+    """Logits of any class count in 2..64 over a few leading shapes, with
+    values drawn from a small pool (ties, both signed zeros) or from all
+    finite floats (magnitudes up to the float maximum)."""
+    lead = draw(st.sampled_from([(), (1,), (6,), (3, 4), (2, 1, 5)]))
+    classes = draw(st.integers(2, 64))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    pool = draw(st.lists(finite, min_size=1, max_size=3)) + [0.0, -0.0]
+    return draw(hnp.arrays(np.float64, (*lead, classes),
+                           elements=st.one_of(st.sampled_from(pool), finite)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(logit_arrays())
+def test_log_softmax_matches_numpy_form_bit_for_bit(logits):
+    with np.errstate(all="ignore"):
+        got, want = model._log_softmax(logits), log_softmax(logits)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_local_epoch_reduces_training_loss():

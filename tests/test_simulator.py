@@ -12,7 +12,8 @@ from fedsel import model
 from fedsel.errors import CheckpointError, FedselError
 from fedsel.simulation import (POLICIES, TrainingSession, corrupt_clients,
                                fairness_metrics, write_metrics_table)
-from fedsel.training import SelectorConfig
+from fedsel.training import (SelectorConfig, gradient_norm_utility,
+                             statistical_utility)
 from fedsel.workload import PopulationSpec, SimWorld, generate_population
 
 
@@ -167,6 +168,51 @@ def test_gradient_norm_mode_runs():
     session = make_session(policy="guided", seed=6, config=cfg)
     result = session.run_round()
     assert all(u >= 0 for u in result.utilities)
+
+
+@pytest.mark.parametrize("mode", ["loss_based", "gradient_norm_batches"])
+def test_utilities_equal_the_per_client_forms_exactly(monkeypatch, mode):
+    calls = []   # (sizes, losses, batch norms) of every local_epoch call
+    epoch = model.local_epoch
+
+    def spy(*args, **kwargs):
+        out = epoch(*args, **kwargs)
+        calls.append((list(args[3]), out[1], out[2]))
+        return out
+
+    monkeypatch.setattr(model, "local_epoch", spy)
+    cfg = SelectorConfig(pacer_step=1.0, pacer_window=2, utility_mode=mode)
+    session = make_session(policy="guided", seed=9, k=5, config=cfg)
+    trained = 0
+    for result in session.run_rounds(12):
+        if not result.completers:
+            continue
+        sizes, losses, norms = calls[trained]
+        trained += 1
+        if mode == "loss_based":
+            want = [statistical_utility(part) for part in
+                    np.split(losses, np.cumsum(sizes)[:-1])]
+        else:
+            want = [gradient_norm_utility(n) for n in norms]
+        assert list(map(float.hex, result.utilities)) \
+            == list(map(float.hex, want))
+    assert trained == len(calls) > 0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1e-300])
+def test_round_rejects_a_loss_that_is_not_finite_and_nonnegative(
+        monkeypatch, bad):
+    epoch = model.local_epoch
+
+    def corrupt(*args, **kwargs):
+        models, losses, norms = epoch(*args, **kwargs)
+        losses[-1] = bad
+        return models, losses, norms
+
+    monkeypatch.setattr(model, "local_epoch", corrupt)
+    session = make_session(policy="guided", seed=6)
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        session.run_round()
 
 
 def test_train_to_target_zero_target_is_immediate():
