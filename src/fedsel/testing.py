@@ -88,6 +88,17 @@ def verify_bound_montecarlo(query: DeviationQuery,
     only on how many of its clients hold each distinct count, and those
     numbers are multivariate hypergeometric over the count multiplicities, so
     each trial draws them (in blocks of trials) instead of ``n`` client ids.
+
+    Where it is much cheaper, the draw takes two exact stages. The sorted
+    distinct counts are cut into bands spanning less than the tolerance, and
+    each trial first draws only its band totals. Those bound the sample mean
+    between the totals times the band minima and maxima; a trial whose
+    bounds clear the tolerance on one side, by more than the rounding of the
+    sums, is settled as a violation or not. Only the other trials draw their
+    counts within each band, one multivariate hypergeometric per band given
+    its total, and are judged by the sample mean itself. The rate is equal
+    in distribution to the one-stage draw's, not bit-identical; where no band
+    merges two counts, the draw is the one-stage draw.
     """
     for name, value in (("n", n), ("trials", trials)):
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
@@ -109,19 +120,97 @@ def verify_bound_montecarlo(query: DeviationQuery,
     rng = np.random.default_rng(seed)
     values, multiplicity = np.unique(counts, return_counts=True)
     pop_mean = counts.mean()
-    block = max(1, _BLOCK_CELLS // values.size)
+    tolerance = query.tolerance
     # Both methods are exact in distribution. "count" costs about one step
     # per item drawn, min(n, N - n) of them; "marginals" one hypergeometric
     # draw per distinct value, each worth some 8 steps (measured at N = 10^4).
-    method = "marginals" if 8 * values.size < min(n, query.population - n) \
-        else "count"
-    violations = 0
-    for start in range(0, trials, block):
+    # Bands pay off where refining a trial, a draw per value, costs at most
+    # two direct trials, and the band totals at most half the direct draw.
+    spare = min(n, query.population - n)
+    draws = multiplicity
+    if 4 * values.size <= spare:
+        starts = _bands(values, tolerance)
+        if 16 * starts.size <= min(8 * values.size, spare):
+            draws = np.add.reduceat(multiplicity, starts)
+    banded = draws.size < values.size
+    block = max(1, _BLOCK_CELLS // values.size)
+    method = "marginals" if 8 * draws.size < spare else "count"
+    violations, waiting = 0, []
+    for begin in range(0, trials, block):
         held = rng.multivariate_hypergeometric(
-            multiplicity, n, size=min(block, trials - start), method=method)
+            draws, n, size=min(block, trials - begin), method=method)
+        if banded:
+            over, within = _settle(held, values, starts, n, pop_mean, tolerance)
+            violations += int(np.count_nonzero(over))
+            # Refine the unsettled trials of a block's worth at once.
+            waiting.append(held[~(over | within)])
+            if sum(map(len, waiting)) < block and begin + block < trials:
+                continue
+            held = _draw_within_bands(rng, np.concatenate(waiting),
+                                      multiplicity, starts)
+            waiting = []
         deviation = np.abs(held @ values / n - pop_mean)
-        violations += int(np.count_nonzero(deviation >= query.tolerance))
+        violations += int(np.count_nonzero(deviation >= tolerance))
     return violations / trials
+
+
+def _bands(values: np.ndarray, tolerance: float) -> np.ndarray:
+    """First index of each band of the sorted ``values``: the cells of width
+    ``tolerance`` from the smallest, or one band per value where the cell
+    numbers would pass a float's exact integers."""
+    cells = (float(values[-1]) - float(values[0])) / float(tolerance)
+    if not cells < 2.0 ** 52:
+        return np.arange(values.size)
+    cell = np.floor((values - values[0]) / tolerance)
+    return np.flatnonzero(np.r_[True, cell[1:] != cell[:-1]])
+
+
+def _settle(totals: np.ndarray, values: np.ndarray, starts: np.ndarray,
+            n: int, pop_mean: float, tolerance: float) -> tuple[np.ndarray, np.ndarray]:
+    """Masks of the trials that their band ``totals`` decide: those whose
+    sample mean deviates by at least ``tolerance``, and those within it.
+
+    The totals times the band minima and maxima bound each sample mean. A
+    trial is decided only where its bounds clear the tolerance by more than
+    the rounding of these sums and of ``|held @ values / n - pop_mean|`` (one
+    rounding per term at most, each term below the largest |value|), so the
+    verdict is always that of the sample mean formula.
+    """
+    ends = np.append(starts[1:], values.size) - 1
+    margin = 8 * (values.size + 4) * np.finfo(float).eps \
+        * (max(abs(values[0]), abs(values[-1])) + abs(pop_mean))
+    low = totals @ values[starts] / n - pop_mean
+    high = totals @ values[ends] / n - pop_mean
+    over = (low >= tolerance + margin) | (high <= -tolerance - margin)
+    within = (high < tolerance - margin) & (low > margin - tolerance)
+    return over, within
+
+
+def _draw_within_bands(rng: np.random.Generator, totals: np.ndarray,
+                       multiplicity: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Counts per value given each row's band ``totals``.
+
+    Given its total, a band's counts are multivariate hypergeometric over its
+    values' multiplicities, independently of the other bands. Each is drawn
+    value by value (the "marginals" method), for every row and band at once.
+    """
+    sizes = np.diff(np.append(starts, multiplicity.size))
+    # Multiplicity of the values after each one in its band.
+    cumulative = np.cumsum(multiplicity)
+    after = np.repeat(cumulative[starts + sizes - 1], sizes) - cumulative
+    held = np.empty((totals.shape[0], multiplicity.size), dtype=np.int64)
+    left = totals.copy()
+    for k in range(int(sizes.max()) if totals.size else 0):
+        bands = np.flatnonzero(sizes > k)
+        cols = starts[bands] + k
+        take = left[:, bands]
+        inner = sizes[bands] > k + 1    # the last value takes what is left
+        if inner.any():
+            take[:, inner] = rng.hypergeometric(
+                multiplicity[cols[inner]], after[cols[inner]], take[:, inner])
+        held[:, cols] = take
+        left[:, bands] -= take
+    return held
 
 
 @dataclass

@@ -193,6 +193,23 @@ def test_estimate_count_rejects_unit_confidence(runner):
     assert result.exit_code != 0
 
 
+def test_simulate_train_config_directory_is_a_usage_error(runner, tmp_path):
+    result = runner.invoke(main, ["simulate-train", "--config", str(tmp_path),
+                                  "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "is a directory" in result.output
+
+
+def test_simulate_train_out_file_is_a_usage_error(runner, tmp_path):
+    cfg = tiny_run_config(tmp_path)
+    result = runner.invoke(main, ["simulate-train", "--config", cfg,
+                                  "--out", cfg])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "is a file" in result.output
+
+
 def write_query_files(tmp_path, budget=3):
     caps = tmp_path / "caps.tsv"
     caps.write_text("client_id\tcategory\tcount\n"
@@ -307,6 +324,20 @@ def test_compose_testset_bad_input_is_a_usage_error(runner, tmp_path, case):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("option", ["--query", "--capacities", "--clients",
+                                    "--out"])
+def test_compose_testset_directory_path_is_a_usage_error(runner, tmp_path,
+                                                         option):
+    query, caps = write_query_files(tmp_path)
+    paths = {"--query": query, "--capacities": caps,
+             "--out": str(tmp_path / "assign.tsv"), option: str(tmp_path)}
+    result = runner.invoke(main, ["compose-testset",
+                                  *itertools.chain(*paths.items())])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert f"'{option}'" in result.output and "is a directory" in result.output
+
+
 def test_compose_testset_reports_unmatched_client_rows(runner, tmp_path):
     query, caps = write_query_files(tmp_path)
     clients = tmp_path / "clients.tsv"
@@ -375,4 +406,12 @@ def test_bench_cover_bad_option_is_a_usage_error(runner, tmp_path, option,
     assert result.exit_code == 2, result.output
     assert isinstance(result.exception, SystemExit)
     assert option in result.output
+
+
+def test_bench_cover_out_directory_is_a_usage_error(runner, tmp_path):
+    result = runner.invoke(main, ["bench-cover", "--sizes", "5",
+                                  "--out", str(tmp_path)])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "is a directory" in result.output
     assert not (tmp_path / "bench.tsv").exists()

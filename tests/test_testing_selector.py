@@ -10,6 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy import stats
+
+from fedsel import testing
 
 from fedsel.errors import (BudgetExceededError, InfeasibleQueryError,
                            SizeGuardError, TableParseError)
@@ -263,6 +266,133 @@ def test_montecarlo_whole_population_is_exact():
                        sample_count_range=(0.0, 100.0))
     assert verify_bound_montecarlo(q, counts, n=300, trials=50) == 0.0
     assert verify_bound_montecarlo(q, counts, n=299, trials=50) == 1.0
+
+
+def spy_refinement(monkeypatch):
+    """Record how many trials each call of the within-band draw refines."""
+    refined = []
+    draw = testing._draw_within_bands
+
+    def spy(rng, totals, *rest):
+        refined.append(len(totals))
+        return draw(rng, totals, *rest)
+
+    monkeypatch.setattr(testing, "_draw_within_bands", spy)
+    return refined
+
+
+def test_montecarlo_bands_match_enumeration(monkeypatch):
+    # Counts {0, 2} and {44, 46} fall in two cells of width 3.11, and at
+    # n = 40 of 80 the two band totals cost a fraction of the direct draw,
+    # so each trial draws its band totals first. Its bounds are 2 apart, so
+    # many trials straddle the tolerance and draw their counts in the bands.
+    values, multiplicity = [0.0, 2.0, 44.0, 46.0], [20, 20, 20, 20]
+    n, trials, tolerance, seed = 40, 20_000, 3.11, 6
+    counts = np.repeat(values, multiplicity)
+    exact = exact_violation_from_multiplicities(values, multiplicity, n,
+                                                tolerance)
+    assert 0.1 < exact < 0.9
+    refined = spy_refinement(monkeypatch)
+    q = DeviationQuery(tolerance=tolerance, population=80,
+                       sample_count_range=(0.0, 46.0))
+    rate = verify_bound_montecarlo(q, counts, n, trials, seed=seed)
+    assert 0 < sum(refined) < trials
+    sigma = math.sqrt(exact * (1 - exact) / trials)
+    assert abs(rate - exact) <= 4 * sigma, (rate, exact, sigma)
+
+
+def test_within_band_draw_is_multivariate_hypergeometric():
+    # Band totals and then the counts within each band, against the
+    # probability of every held-count vector: a chi-square goodness of fit.
+    values = np.array([1.0, 2.0, 3.0, 10.0, 11.0])
+    multiplicity = np.array([3, 2, 4, 3, 2])
+    n, trials = 6, 40_000
+    starts = testing._bands(values, 3.0)
+    assert starts.tolist() == [0, 3]
+    rng = np.random.default_rng(8)
+    totals = rng.multivariate_hypergeometric(
+        np.add.reduceat(multiplicity, starts), n, size=trials)
+    held = testing._draw_within_bands(rng, totals, multiplicity, starts)
+    seen = {}
+    for row in map(tuple, held):
+        seen[row] = seen.get(row, 0) + 1
+    observed, expected = [], []
+    for row in itertools.product(*(range(m + 1) for m in multiplicity)):
+        if sum(row) == n:
+            observed.append(seen.pop(row, 0))
+            expected.append(trials * math.prod(map(math.comb, multiplicity, row))
+                            / math.comb(int(multiplicity.sum()), n))
+    assert not seen  # every draw is a possible sample
+    statistic, p = stats.chisquare(observed, expected)
+    assert p > 1e-4, (statistic, p)
+
+
+@given(st.data())
+def test_band_settlement_agrees_with_sample_mean(data):
+    values = np.array(sorted(data.draw(st.sets(st.integers(0, 60), min_size=1,
+                                               max_size=8))), dtype=float)
+    values *= data.draw(st.sampled_from([1.0, 0.1, 1 / 3]))
+    if data.draw(st.booleans()):  # values an ulp apart share a band
+        values = np.unique(np.r_[values, np.nextafter(values, np.inf)])
+    multiplicity = data.draw(st.lists(st.integers(1, 6), min_size=values.size,
+                                      max_size=values.size))
+    counts = np.repeat(values, multiplicity)
+    n = data.draw(st.integers(1, counts.size))
+    # Any sample of n clients, as its held counts per value.
+    picked = data.draw(st.permutations(range(counts.size)))[:n]
+    held = np.bincount(np.searchsorted(values, counts[picked]),
+                       minlength=values.size)
+    pop_mean = counts.mean()
+    deviation = np.abs(held[None] @ values / n - pop_mean)[0]
+    # Tolerances on the rounding boundary of this sample, and anywhere.
+    tolerance = data.draw(st.one_of(
+        st.sampled_from([deviation, np.nextafter(deviation, np.inf),
+                         np.nextafter(deviation, 0)]).filter(lambda t: t > 0),
+        st.floats(1e-3, 100)))
+    starts = testing._bands(values, tolerance)
+    totals = np.add.reduceat(held, starts)[None]
+    over, within = testing._settle(totals, values, starts, n, pop_mean,
+                                   tolerance)
+    if over[0]:
+        assert deviation >= tolerance
+    if within[0]:
+        assert deviation < tolerance
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("case", ["n_one", "n_all_but_one", "one_value",
+                                  "tiny_tolerance", "tolerance_over_range"])
+def test_montecarlo_edge_cases_run_clean(monkeypatch, case):
+    # At n = 2000 of 5000 the draw takes band totals first (n = 1 and
+    # N - 1, one value and the tiny tolerance draw directly).
+    population, n, tolerance = 5000, 2000, 5.0
+    counts = np.random.default_rng(0).integers(20, 301, population).astype(float)
+    if case == "n_one":
+        n = 1
+    elif case == "n_all_but_one":
+        n = population - 1
+    elif case == "one_value":
+        counts = np.full(population, 7.0)
+    elif case == "tiny_tolerance":
+        tolerance = 1e-300
+        assert testing._bands(np.unique(counts), tolerance).size == 281
+        assert testing._bands(np.array([0.0, 1.0, 1e10]), tolerance).size == 3
+    elif case == "tolerance_over_range":
+        tolerance = 500.0
+        assert testing._bands(np.unique(counts), tolerance).tolist() == [0]
+    refined = spy_refinement(monkeypatch)
+    q = DeviationQuery(tolerance=tolerance, population=population,
+                       sample_count_range=(0.0, 300.0))
+    rate = verify_bound_montecarlo(q, counts, n, trials=10 if n == 1 else 300,
+                                   seed=2)
+    assert 0.0 <= rate <= 1.0
+    if case == "tolerance_over_range":
+        # One band: every trial is within the tolerance by its bounds.
+        assert rate == 0.0 and refined and sum(refined) == 0
+    elif case == "one_value":
+        assert rate == 0.0
+    elif case == "tiny_tolerance":
+        assert rate == 1.0 and not refined
 
 
 # -- distribution queries ------------------------------------------------------------
