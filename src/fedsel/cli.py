@@ -40,8 +40,7 @@ def main():
               help="Override config seeds (repeatable).")
 @click.option("--k", type=int, default=None, help="Completions per round.")
 @click.option("--target", type=float, default=None, help="Target accuracy.")
-@click.option("--out", "out_dir", type=click.Path(file_okay=False),
-              required=True)
+@click.option("--out", "out_dir", type=click.Path(), required=True)
 @click.option("--verbose", is_flag=True, help="Emit per-client utility tables.")
 def simulate_train(config_path, policies, seeds, k, target, out_dir, verbose):
     """Run time-to-accuracy experiments and write metric tables."""
@@ -136,8 +135,7 @@ def estimate_count(epsilon, delta, population, range_min, range_max, trials, see
 @click.option("--clients", "clients_path",
               type=click.Path(exists=True, dir_okay=False), default=None,
               help="Optional per-client speed/bandwidth table.")
-@click.option("--out", "out_path", type=click.Path(dir_okay=False),
-              required=True)
+@click.option("--out", "out_path", type=click.Path(), required=True)
 @click.option("--exact", is_flag=True, help="Also solve with the exact oracle.")
 def compose_testset(query_path, capacities_path, clients_path, out_path, exact):
     """Pick participants and per-category sample counts for a testing query."""
@@ -214,8 +212,7 @@ def _int_list(least: int):
               help="Comma-separated seeds.")
 @click.option("--categories", type=click.IntRange(min=1), default=3,
               show_default=True)
-@click.option("--out", "out_path", type=click.Path(dir_okay=False),
-              required=True)
+@click.option("--out", "out_path", type=click.Path(), required=True)
 def bench_cover(sizes, seeds, categories, out_path):
     """Compare greedy and exact cover solvers across instance sizes.
 

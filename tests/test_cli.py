@@ -201,15 +201,6 @@ def test_simulate_train_config_directory_is_a_usage_error(runner, tmp_path):
     assert "is a directory" in result.output
 
 
-def test_simulate_train_out_file_is_a_usage_error(runner, tmp_path):
-    cfg = tiny_run_config(tmp_path)
-    result = runner.invoke(main, ["simulate-train", "--config", cfg,
-                                  "--out", cfg])
-    assert result.exit_code == 2, result.output
-    assert isinstance(result.exception, SystemExit)
-    assert "is a file" in result.output
-
-
 def write_query_files(tmp_path, budget=3):
     caps = tmp_path / "caps.tsv"
     caps.write_text("client_id\tcategory\tcount\n"
@@ -324,8 +315,7 @@ def test_compose_testset_bad_input_is_a_usage_error(runner, tmp_path, case):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("option", ["--query", "--capacities", "--clients",
-                                    "--out"])
+@pytest.mark.parametrize("option", ["--query", "--capacities", "--clients"])
 def test_compose_testset_directory_path_is_a_usage_error(runner, tmp_path,
                                                          option):
     query, caps = write_query_files(tmp_path)
@@ -336,6 +326,7 @@ def test_compose_testset_directory_path_is_a_usage_error(runner, tmp_path,
     assert result.exit_code == 2, result.output
     assert isinstance(result.exception, SystemExit)
     assert f"'{option}'" in result.output and "is a directory" in result.output
+    assert not (tmp_path / "assign.tsv").exists()
 
 
 def test_compose_testset_reports_unmatched_client_rows(runner, tmp_path):
@@ -406,12 +397,4 @@ def test_bench_cover_bad_option_is_a_usage_error(runner, tmp_path, option,
     assert result.exit_code == 2, result.output
     assert isinstance(result.exception, SystemExit)
     assert option in result.output
-
-
-def test_bench_cover_out_directory_is_a_usage_error(runner, tmp_path):
-    result = runner.invoke(main, ["bench-cover", "--sizes", "5",
-                                  "--out", str(tmp_path)])
-    assert result.exit_code == 2, result.output
-    assert isinstance(result.exception, SystemExit)
-    assert "is a directory" in result.output
     assert not (tmp_path / "bench.tsv").exists()
