@@ -7,8 +7,7 @@ participated in. Selectors read immutable snapshot views made of read-only
 column copies; the whole store can be checkpointed to one file and restored
 bit-identically. A checkpoint is a ``fedsel-metastore-v2`` archive: an
 uncompressed ``.npz`` of the typed columns and the client ids, with a small
-JSON header. Files in the earlier ``fedsel-metastore-v1`` JSON format still
-load; the format of a file is told by its first bytes.
+JSON header. It is the only format read.
 """
 
 from __future__ import annotations
@@ -28,8 +27,8 @@ from .errors import CheckpointError, StaleFeedbackError, UnknownClientError
 from .training import clip_cap
 
 CHECKPOINT_FORMAT = "fedsel-metastore-v2"
-_V1_FORMAT = "fedsel-metastore-v1"
-# A v2 file is a zip archive; anything else is read as v1 JSON.
+# A v2 file is a zip archive. Without this check, a ``.npy`` file would make
+# ``np.load`` return an array rather than an archive.
 _ZIP_MAGIC = b"PK\x03\x04"
 
 # Per-client columns in checkpoint field order (after ``client_id``).
@@ -114,8 +113,6 @@ class StoreView:
 
 # -- checkpoints -------------------------------------------------------------
 
-_RECORD_KEYS = frozenset(["client_id", *(name for name, _ in _COLUMNS)])
-_JSON_TYPES = {np.float64: {int, float}, np.int64: {int}, np.bool_: {bool}}
 _HEADER_KEYS = frozenset(["format", "round_index", "preferred_duration",
                           "utility_history"])
 # The v2 archive's 1-d members: every client id's UTF-8 bytes back to back,
@@ -142,33 +139,6 @@ def _as_float(value: object, name: str) -> float:
     if not math.isfinite(value):
         raise CheckpointError(f"{name} must be finite, got {value!r}")
     return value
-
-
-def _decode_table(rows: object) -> ClientTable:
-    """Typed decoding of a v1 checkpoint's record list into columns."""
-    if not isinstance(rows, list):
-        raise CheckpointError("records must be a list")
-    for row in rows:
-        if not isinstance(row, dict) or row.keys() != _RECORD_KEYS:
-            raise CheckpointError(f"malformed checkpoint record: {row!r:.200}")
-    cols: dict[str, np.ndarray] = {}
-    for name, dtype in _COLUMNS:
-        values = [row[name] for row in rows]
-        allowed = _JSON_TYPES[dtype] | ({type(None)} if name == "speed_hint"
-                                        else set())
-        if not set(map(type, values)) <= allowed:
-            bad = next(v for v in values if type(v) not in allowed)
-            raise CheckpointError(f"{name} has the wrong type: {bad!r}")
-        if name == "speed_hint":
-            # NaN is how the column spells "no hint"; only null may say that.
-            if any(type(v) is float and math.isnan(v) for v in values):
-                raise CheckpointError("speed_hint must be finite")
-            values = [math.nan if v is None else v for v in values]
-        try:
-            cols[name] = np.array(values, dtype=dtype)
-        except OverflowError as exc:
-            raise CheckpointError(f"{name} is out of range: {exc}") from exc
-    return ClientTable(tuple(row["client_id"] for row in rows), **cols)
 
 
 def _encode_ids(ids: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
@@ -266,22 +236,18 @@ class Checkpoint:
 
     @classmethod
     def read(cls, path: str) -> "Checkpoint":
-        """Decode a checkpoint file: a v2 archive if it starts with the zip
-        magic, else v1 JSON. Every decoding failure is a CheckpointError."""
+        """Decode a ``fedsel-metastore-v2`` checkpoint file. Every decoding
+        failure is a CheckpointError."""
         try:
             with open(path, "rb") as fh:
-                if fh.read(len(_ZIP_MAGIC)) == _ZIP_MAGIC:
-                    fh.seek(0)
-                    return cls._from_archive(fh)
+                if fh.read(len(_ZIP_MAGIC)) != _ZIP_MAGIC:
+                    raise CheckpointError(
+                        f"checkpoint is not a {CHECKPOINT_FORMAT} archive; "
+                        f"v1 JSON checkpoints are no longer read")
                 fh.seek(0)
-                data = fh.read()
+                return cls._from_archive(fh)
         except OSError as exc:
             raise CheckpointError(f"cannot read checkpoint: {exc}") from exc
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise CheckpointError(f"checkpoint is not UTF-8: {exc}") from exc
-        return cls.from_json(text)
 
     @classmethod
     def _from_archive(cls, fh: BinaryIO) -> "Checkpoint":
@@ -328,29 +294,6 @@ class Checkpoint:
                    preferred_duration=head["preferred_duration"],
                    utility_history=head["utility_history"],
                    table=ClientTable(_decode_ids(blob, ends), **members))
-
-    @classmethod
-    def from_json(cls, text: str) -> "Checkpoint":
-        """Decode a ``fedsel-metastore-v1`` JSON checkpoint."""
-        try:
-            payload = json.loads(text)
-        except (ValueError, RecursionError) as exc:
-            # Not JSON, an integer too long to parse, or nested too deep.
-            raise CheckpointError(f"checkpoint is not valid JSON: {exc}") from exc
-        if not isinstance(payload, dict) or "version" not in payload:
-            raise CheckpointError("checkpoint is missing its version field")
-        if payload["version"] != _V1_FORMAT:
-            raise CheckpointError(
-                f"unsupported checkpoint version {payload['version']!r:.200}")
-        try:
-            return cls(
-                round_index=payload["round_index"],
-                preferred_duration=payload["preferred_duration"],
-                utility_history=payload["utility_history"],
-                table=_decode_table(payload["records"]),
-            )
-        except KeyError as exc:
-            raise CheckpointError(f"checkpoint is missing field {exc}") from exc
 
 
 class MetaStore:
@@ -612,5 +555,5 @@ class MetaStore:
             os.replace(tmp, path)
 
     def load(self, path: str) -> None:
-        """Restore from a v2 or v1 checkpoint file; see :meth:`Checkpoint.read`."""
+        """Restore from a v2 checkpoint file; see :meth:`Checkpoint.read`."""
         self.restore(Checkpoint.read(path))

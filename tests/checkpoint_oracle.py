@@ -1,8 +1,8 @@
 """The ``fedsel-metastore-v1`` JSON renderer, for the tests.
 
-The store writes ``fedsel-metastore-v2`` archives and only reads v1. The tests
+The store writes and reads only ``fedsel-metastore-v2`` archives. The tests
 render checkpoints as v1 text to fold them into golden digests recorded when
-the store wrote v1, and to write v1 files that must still load.
+the store wrote v1.
 """
 
 from __future__ import annotations

@@ -201,6 +201,19 @@ def test_simulate_train_config_directory_is_a_usage_error(runner, tmp_path):
     assert "is a directory" in result.output
 
 
+def test_simulate_train_out_file_is_a_usage_error(runner, tmp_path):
+    cfg = tiny_run_config(tmp_path)
+    out = tmp_path / "out"
+    out.write_text("keep")
+    result = runner.invoke(main, ["simulate-train", "--config", cfg,
+                                  "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "'--out'" in result.output and "is a file" in result.output
+    assert out.read_text() == "keep"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "run.json"]
+
+
 def write_query_files(tmp_path, budget=3):
     caps = tmp_path / "caps.tsv"
     caps.write_text("client_id\tcategory\tcount\n"
@@ -329,6 +342,18 @@ def test_compose_testset_directory_path_is_a_usage_error(runner, tmp_path,
     assert not (tmp_path / "assign.tsv").exists()
 
 
+def test_compose_testset_out_directory_is_a_usage_error(runner, tmp_path):
+    query, caps = write_query_files(tmp_path)
+    out = tmp_path / "out"
+    out.mkdir()
+    result = runner.invoke(main, ["compose-testset", "--query", query,
+                                  "--capacities", caps, "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "'--out'" in result.output and "is a directory" in result.output
+    assert list(out.iterdir()) == []
+
+
 def test_compose_testset_reports_unmatched_client_rows(runner, tmp_path):
     query, caps = write_query_files(tmp_path)
     clients = tmp_path / "clients.tsv"
@@ -398,3 +423,14 @@ def test_bench_cover_bad_option_is_a_usage_error(runner, tmp_path, option,
     assert isinstance(result.exception, SystemExit)
     assert option in result.output
     assert not (tmp_path / "bench.tsv").exists()
+
+
+def test_bench_cover_out_directory_is_a_usage_error(runner, tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    result = runner.invoke(main, ["bench-cover", "--sizes", "5", "--seeds", "0",
+                                  "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "'--out'" in result.output and "is a directory" in result.output
+    assert list(out.iterdir()) == []

@@ -1,0 +1,88 @@
+"""Fuzzing the table readers: each returns valid rows or fails typed."""
+
+from __future__ import annotations
+
+import math
+import os
+import tempfile
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fedsel.errors import FedselError
+from fedsel.testing import read_client_table
+from fedsel.workload import load_trace
+
+_TRACE = [["client_id", "compute_latency", "bandwidth", "availability"],
+          ["a", "0.5", "1234", "0.9"],
+          ["b", "1e-3", "5e6", "1"],
+          ["c", "2", "10", "0.25"]]
+_CLIENTS = [["client_id", "speed", "bandwidth", "transfer_bytes"],
+            ["a", "5.0", "1000", "10"],
+            ["b", "0", "1e6", "0"],
+            ["c", "12.5", "3", "1e6"]]
+
+# Row 0 is the header, so a mutation may hit it too.
+_CELLS = st.sampled_from(["nan", "-inf", "inf", "1e400", "9" * 5000, "-1",
+                          "0", "\ud800", "\x85", "\t", ",", ""])
+_MUTATIONS = st.lists(st.one_of(
+    st.tuples(st.just("cell"), st.integers(0, 3), st.integers(0, 3), _CELLS),
+    st.tuples(st.just("duplicate"), st.integers(0, 3)),
+    st.tuples(st.just("truncate"), st.integers(0, 1 << 10)),
+    st.tuples(st.just("flip"), st.integers(0, 1 << 10), st.integers(1, 255)),
+), min_size=1, max_size=4)
+
+
+def mutated(table: list[list[str]], sep: str, mutations) -> bytes:
+    """``table`` written with ``sep``, after its cell and row mutations,
+    with its byte mutations applied to the encoded text."""
+    rows = [list(row) for row in table]
+    for kind, *args in mutations:
+        if kind == "cell":
+            row, col, value = args
+            rows[row % len(rows)][col] = value
+        elif kind == "duplicate":
+            rows.append(list(rows[args[0] % len(rows)]))
+    text = "".join(sep.join(row) + "\n" for row in rows)
+    data = bytearray(text.encode("utf-8", "surrogatepass"))
+    for kind, *args in mutations:
+        if kind == "truncate":
+            del data[args[0] % (len(data) + 1):]
+        elif kind == "flip" and data:
+            data[args[0] % len(data)] ^= args[1]
+    return bytes(data)
+
+
+def read_or_fail_typed(reader, data: bytes):
+    """What ``reader`` returns for a file holding ``data``, or None if it
+    raised a FedselError; any other exception fails the test."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "table")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        try:
+            return reader(path)
+        except FedselError:
+            return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(sep=st.sampled_from(["\t", ","]), mutations=_MUTATIONS)
+def test_mutated_trace_loads_or_fails_typed(sep, mutations):
+    rows = read_or_fail_typed(load_trace, mutated(_TRACE, sep, mutations))
+    if rows is not None:
+        assert len({row.client_id for row in rows}) == len(rows)
+        for row in rows:
+            assert math.isfinite(row.compute_latency) and row.compute_latency > 0
+            assert math.isfinite(row.bandwidth) and row.bandwidth > 0
+            assert 0.0 < row.availability <= 1.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(sep=st.sampled_from(["\t", ","]), mutations=_MUTATIONS)
+def test_mutated_client_table_loads_or_fails_typed(sep, mutations):
+    table = read_or_fail_typed(read_client_table,
+                               mutated(_CLIENTS, sep, mutations))
+    if table is not None:
+        for values in table.values():
+            assert all(math.isfinite(v) and v >= 0 for v in values)

@@ -9,6 +9,7 @@ import io
 import json
 import math
 import os
+import sys
 import tempfile
 
 import numpy as np
@@ -242,6 +243,11 @@ def archive_members(path) -> dict:
         return {name: npz[name] for name in npz.files}
 
 
+def write_members(path, members: dict) -> None:
+    with open(path, "wb") as fh:
+        np.savez(fh, **members)
+
+
 def header_of(members: dict) -> dict:
     return json.loads(str(members["header"]))
 
@@ -249,21 +255,16 @@ def header_of(members: dict) -> dict:
 def test_restore_version_mismatch_errors(tmp_path):
     s = store()
     s.register_client("a")
-    v2, v1 = tmp_path / "cp.npz", tmp_path / "cp.json"
-    s.save(str(v2))
-    members = archive_members(v2)
+    path = tmp_path / "cp.npz"
+    s.save(str(path))
+    members = archive_members(path)
     members["header"] = np.array(json.dumps(
         {**header_of(members), "format": "fedsel-metastore-v999"}))
-    with open(v2, "wb") as fh:
-        np.savez(fh, **members)
-    payload = json.loads(render_v1(s.snapshot()))
-    payload["version"] = "fedsel-metastore-v999"
-    v1.write_text(json.dumps(payload))
+    write_members(path, members)
     before = s.snapshot()
-    for path in (v2, v1):
-        with pytest.raises(CheckpointError, match="v999"):
-            s.load(str(path))
-        assert s.snapshot() == before
+    with pytest.raises(CheckpointError, match="v999"):
+        s.load(str(path))
+    assert s.snapshot() == before
 
 
 def test_checkpoint_autosave_cadence(tmp_path):
@@ -313,11 +314,13 @@ def test_replay_equals_checkpoint_plus_suffix():
     assert resumed.snapshot() == full.snapshot()
 
 
-def test_round_trip_preserves_nan_free_floats():
+def test_round_trip_preserves_nan_free_floats(tmp_path):
     s = store()
     s.register_client("a")
     feed(s, ("a", 1e-17, 1e9))
-    cp = Checkpoint.from_json(render_v1(s.snapshot()))
+    path = tmp_path / "cp.npz"
+    s.save(str(path))
+    cp = Checkpoint.read(str(path))
     assert cp.table.stat_utility[0] == 1e-17
     assert cp.table.duration[0] == 1e9
 
@@ -360,8 +363,8 @@ def test_checkpoint_save_load_save_is_byte_identical(tmp_path):
 
 
 def test_client_ids_round_trip_exactly(tmp_path):
-    # A numpy string array would read "a\x00" back as "a"; v1 round-trips
-    # lone surrogates but reads the pair "\ud83d\ude00" back as "\U0001f600".
+    # A numpy string array would read "a\x00" back as "a"; JSON text reads
+    # the surrogate pair "\ud83d\ude00" back as "\U0001f600".
     ids = ["a", "a\x00", "", "\ud800", "\x7f", 'q"uote', "x" * 40,
            "\ud83d\ude00", "\U0001f600", "caf\u00e9"]
     s = store()
@@ -375,21 +378,6 @@ def test_client_ids_round_trip_exactly(tmp_path):
     assert t.client_ids() == sorted(ids)
     assert t.snapshot() == s.snapshot()
     assert cells(t.view(), "a\x00")["stat_utility"] == 2.0
-
-
-def test_v1_file_still_loads(tmp_path):
-    s = store()
-    for i in range(12):
-        s.register_client(f"c{i:02d}", speed_hint=None if i % 4 else 0.5 + i)
-    s.register_client('q"uote\\')
-    for r in range(3):
-        feed(s, *((f"c{i:02d}", 0.1 * i + r, 1.0 + i) for i in range(r, 12, 3)))
-    path = tmp_path / "v1.json"
-    path.write_text(render_v1(s.snapshot()), encoding="utf-8")
-    t = store()
-    t.load(str(path))
-    assert t.snapshot() == s.snapshot()
-    assert Checkpoint.read(str(path)) == s.snapshot()
 
 
 def saved_checkpoints_digest(tmp_path) -> tuple[str, str, int]:
@@ -596,21 +584,44 @@ def test_infinite_wall_duration_rejected_whole_batch():
 # -- typed checkpoint decoding --------------------------------------------------------
 
 
-def saved_payload(tmp_path) -> dict:
+def saved_members(tmp_path) -> dict:
+    """The archive members of a saved store at round 1: client "a" (row 0)
+    with a hint and explored, client "b" with neither."""
     s = store()
     s.register_client("a", speed_hint=2.0)
     s.register_client("b")
     feed(s, ("a", 4.0, 3.0))
-    return json.loads(render_v1(s.snapshot()))
+    path = tmp_path / "saved.npz"
+    s.save(str(path))
+    return archive_members(path)
 
 
-def corrupt(payload: dict, where: str, value) -> dict:
-    payload = json.loads(json.dumps(payload))
-    if where.startswith("records."):
-        payload["records"][0][where.split(".", 1)[1]] = value
-    else:
-        payload[where] = value
-    return payload
+def put(members: dict, where: str, value) -> dict:
+    """``members`` with ``value`` where a v1 file held it: a header field as
+    JSON, a record field in row 0 of its column. A value of another type
+    gives the column that dtype; an integer past float64's range is the
+    infinity it rounds to. A string client id goes through the id encoding
+    (the id of row 1 makes a duplicate); any other id is bytes that are not
+    UTF-8."""
+    field = where.removeprefix("records.")
+    if field == where:
+        return mutate_members(members, ("header_field", field, value))
+    if field == "client_id":
+        members = dict(members)
+        if isinstance(value, str):
+            members["client_ids"], members["client_id_ends"] = (
+                metastore._encode_ids((value, "b")))
+        else:
+            members["client_ids"] = members["client_ids"].copy()
+            members["client_ids"][0] = 0xFF
+        return members
+    if type(value) is int and abs(value) > sys.float_info.max:
+        value = math.inf
+    dtype = np.asarray(value).dtype
+    if dtype != members[field].dtype:
+        return mutate_members(members, ("dtype", field, dtype.str))
+    return mutate_members(members, ("int" if dtype.kind == "i" else "float",
+                                    field, 0, value))
 
 
 @pytest.mark.parametrize("where, value", [
@@ -618,7 +629,7 @@ def corrupt(payload: dict, where: str, value) -> dict:
     ("records.stat_utility", math.nan),
     ("records.duration", math.inf),
     ("records.duration", 0.0),
-    ("records.speed_hint", math.nan),
+    ("records.speed_hint", -math.inf),  # NaN is how the column says "no hint"
     ("records.speed_hint", -1.0),
     ("records.last_round", 1.0),
     ("records.last_round", 99),
@@ -637,11 +648,10 @@ def corrupt(payload: dict, where: str, value) -> dict:
     ("utility_history", [10 ** 400]),
 ], ids=lambda v: repr(v)[:40])
 def test_bad_checkpoint_rejected_and_store_untouched(tmp_path, where, value):
-    payload = saved_payload(tmp_path)
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(corrupt(payload, where, value)))
+    path = tmp_path / "bad.npz"
+    write_members(path, put(saved_members(tmp_path), where, value))
     with pytest.raises(CheckpointError):
-        Checkpoint.from_json(path.read_text())
+        Checkpoint.read(str(path))
     s = store()
     s.register_client("z")
     before = s.snapshot()
@@ -650,33 +660,27 @@ def test_bad_checkpoint_rejected_and_store_untouched(tmp_path, where, value):
     assert s.snapshot() == before
 
 
-def test_checkpoint_record_with_missing_or_extra_field_rejected(tmp_path):
-    payload = saved_payload(tmp_path)
-    missing = json.loads(json.dumps(payload))
-    del missing["records"][0]["duration"]
-    extra = json.loads(json.dumps(payload))
-    extra["records"][0]["color"] = "red"
-    for bad in (missing, extra):
-        with pytest.raises(CheckpointError):
-            Checkpoint.from_json(json.dumps(bad))
-
-
 def test_checkpoint_in_reverse_id_order_loads_sorted(tmp_path):
     s = store()
     for i in range(40):
         s.register_client(f"c{i:02d}", speed_hint=None if i % 5 else 1.0 + i)
     for r in range(3):
         feed(s, *((f"c{i:02d}", 1.0 + i * r, 1.0 + i) for i in range(r, 40, 4)))
-    in_order, reversed_ = tmp_path / "in_order.json", tmp_path / "reversed.json"
+    in_order, reversed_ = tmp_path / "in_order.npz", tmp_path / "reversed.npz"
     s.save(str(in_order))
-    payload = json.loads(render_v1(s.snapshot()))
-    payload["records"].reverse()
-    reversed_.write_text(json.dumps(payload, separators=(",", ":")))
+    members = archive_members(in_order)
+    for name, _ in metastore._COLUMNS:
+        members[name] = members[name][::-1]
+    members["client_ids"], members["client_id_ends"] = metastore._encode_ids(
+        tuple(reversed(s.client_ids())))
+    write_members(reversed_, members)
+    assert Checkpoint.read(str(reversed_)).table.ids == tuple(
+        reversed(s.client_ids()))
 
     t = store()
     t.load(str(reversed_))
     assert t.client_ids() == s.client_ids()
-    resaved = tmp_path / "resaved.json"
+    resaved = tmp_path / "resaved.npz"
     t.save(str(resaved))
     assert resaved.read_bytes() == in_order.read_bytes()
     from_reversed, from_sorted = store(), store()
@@ -725,18 +729,29 @@ def test_restore_rejects_inconsistent_checkpoint_untouched():
     assert s.snapshot() == cp
 
 
+def npy_file() -> bytes:
+    buf = io.BytesIO()
+    np.save(buf, np.zeros(3))
+    return buf.getvalue()
+
+
 @pytest.mark.parametrize("data", [
     b'{"version":"fedsel-metastore-v1","round_index":\xff}',
     b"[" * 100_000,
-], ids=["invalid_utf8", "deep_nesting"])
+    b"",
+    b"PK\x03",
+    npy_file(),
+    None,  # the store's own well-formed v1 text
+], ids=["invalid_utf8", "deep_nesting", "empty", "short_magic", "npy", "v1"])
 def test_undecodable_v1_file_fails_typed_and_store_untouched(tmp_path, data):
-    path = tmp_path / "cp.json"
-    path.write_bytes(data)
+    # Only a v2 archive loads: every other file fails typed, naming v2.
     s = store()
     s.register_client("a")
     feed(s, ("a", 1.0, 1.0))
     before = s.snapshot()
-    with pytest.raises(CheckpointError):
+    path = tmp_path / "cp.json"
+    path.write_bytes(render_v1(before).encode() if data is None else data)
+    with pytest.raises(CheckpointError, match="not a fedsel-metastore-v2 archive"):
         s.load(str(path))
     assert s.snapshot() == before
 
@@ -913,53 +928,3 @@ def test_mutated_v2_checkpoint_loads_or_fails_typed(mutation):
         np.savez(buf, **mutate_members(members, mutation))
         data = buf.getvalue()
     assert_loads_or_fails_typed(data)
-
-
-_JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.just(_HUGE)
-    | st.floats() | st.text(max_size=4),
-    lambda inner: st.lists(inner, max_size=3)
-    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
-    max_leaves=6)
-_V1_FIELDS = ["version", "round_index", "preferred_duration",
-              "utility_history", "records"]
-_V1_RECORD_FIELDS = ["client_id", *(name for name, _ in metastore._COLUMNS)]
-
-_V1_MUTATIONS = st.one_of(
-    st.tuples(st.just("bytes"), byte_mutation()),
-    st.tuples(st.just("field"), st.sampled_from(_V1_FIELDS), _JSON_VALUES),
-    st.tuples(st.just("drop"), st.sampled_from(_V1_FIELDS)),
-    st.tuples(st.just("record_field"), st.integers(0, 5),
-              st.sampled_from(_V1_RECORD_FIELDS), _JSON_VALUES),
-    st.tuples(st.just("record_drop"), st.integers(0, 5),
-              st.sampled_from(_V1_RECORD_FIELDS)),
-    st.tuples(st.just("duplicate"), st.integers(0, 5)),
-    st.tuples(st.just("text"), st.sampled_from(
-        ["", "[" * 100_000, "{" * 3, "1" * 5000, "PK\x03\x04{}", "\ud800"])),
-)
-
-
-@settings(max_examples=400, deadline=None)
-@given(mutation=_V1_MUTATIONS)
-def test_mutated_v1_checkpoint_loads_or_fails_typed(mutation):
-    text = render_v1(fuzz_store().snapshot())
-    kind, *args = mutation
-    if kind == "bytes":
-        assert_loads_or_fails_typed(apply_bytes(text.encode(), args[0]))
-        return
-    if kind == "text":
-        assert_loads_or_fails_typed(args[0].encode("utf-8", "surrogatepass"))
-        return
-    payload = json.loads(text)
-    records = payload["records"]
-    if kind == "field":
-        payload[args[0]] = args[1]
-    elif kind == "drop":
-        del payload[args[0]]
-    elif kind == "record_field":
-        records[args[0]][args[1]] = args[2]
-    elif kind == "record_drop":
-        del records[args[0]][args[1]]
-    elif kind == "duplicate":
-        records.append(dict(records[args[0]]))
-    assert_loads_or_fails_typed(json.dumps(payload).encode())
