@@ -25,6 +25,21 @@ from .training import SelectorConfig
 from .workload import PopulationSpec, apply_trace, generate_population, load_trace
 
 
+def _out_path(makes_parents: bool):
+    """Click callback: ``--out`` must lie in an existing directory or, where
+    the command makes missing parents, below no file; checked before any
+    work, so a bad path writes nothing."""
+    def check(ctx, param, value: str) -> str:
+        parent = Path(value).absolute().parent
+        while makes_parents and not parent.exists():
+            parent = parent.parent
+        if not parent.is_dir():
+            problem = "is not a directory" if parent.exists() else "does not exist"
+            raise click.BadParameter(f"{str(parent)!r} {problem}")
+        return value
+    return check
+
+
 @click.group()
 def main():
     """Participant selection engine for federated training and testing."""
@@ -41,7 +56,7 @@ def main():
 @click.option("--k", type=int, default=None, help="Completions per round.")
 @click.option("--target", type=float, default=None, help="Target accuracy.")
 @click.option("--out", "out_dir", type=click.Path(file_okay=False),
-              required=True)
+              callback=_out_path(makes_parents=True), required=True)
 @click.option("--verbose", is_flag=True, help="Emit per-client utility tables.")
 def simulate_train(config_path, policies, seeds, k, target, out_dir, verbose):
     """Run time-to-accuracy experiments and write metric tables."""
@@ -137,7 +152,7 @@ def estimate_count(epsilon, delta, population, range_min, range_max, trials, see
               type=click.Path(exists=True, dir_okay=False), default=None,
               help="Optional per-client speed/bandwidth table.")
 @click.option("--out", "out_path", type=click.Path(dir_okay=False),
-              required=True)
+              callback=_out_path(makes_parents=False), required=True)
 @click.option("--exact", is_flag=True, help="Also solve with the exact oracle.")
 def compose_testset(query_path, capacities_path, clients_path, out_path, exact):
     """Pick participants and per-category sample counts for a testing query."""
@@ -215,7 +230,7 @@ def _int_list(least: int):
 @click.option("--categories", type=click.IntRange(min=1), default=3,
               show_default=True)
 @click.option("--out", "out_path", type=click.Path(dir_okay=False),
-              required=True)
+              callback=_out_path(makes_parents=False), required=True)
 def bench_cover(sizes, seeds, categories, out_path):
     """Compare greedy and exact cover solvers across instance sizes.
 

@@ -27,9 +27,15 @@ _EXACT_MAX_CLIENTS, _EXACT_MAX_CATEGORIES = 20, 5
 # (speed, bandwidth, transfer_bytes) of a client missing from the client table.
 _DEFAULT_CLIENT = (10.0, 1e6, 1e6)
 _INT64_MAX = int(np.iinfo(np.int64).max)
-# Trials per Monte-Carlo draw times distinct count values: one block's
-# held-count matrix stays about 0.5 MB.
+# Cells of one vectorised block, about 0.5 MB: Monte-Carlo trials per draw
+# times distinct count values, or greedy-cover clients times categories.
 _BLOCK_CELLS = 2 ** 16
+# Greedy-cover tail. After _STREAK stale heap tops in one pick, up to
+# _REFRESH heap entries are refreshed in one step. Candidates that fit one
+# block are rescanned in full at each pick once a pick refreshes
+# 1/_SCAN_SHARE of them, until _CALM_SCANS picks in a row lower fewer.
+_STREAK, _REFRESH = 8, 256
+_SCAN_SHARE, _CALM_SCANS = 16, 4
 
 
 @dataclass(frozen=True)
@@ -441,7 +447,9 @@ def greedy_cover(query: DistributionQuery) -> Assignment:
     """Two-phase heuristic: greedy subset cover, then makespan optimization.
 
     Phase 1 (:func:`_greedy_picks`) repeatedly picks the client contributing
-    the most samples toward the not-yet-satisfied categories. Phase 2 is
+    the most samples toward the not-yet-satisfied categories. Its picks
+    while no contribution can have fallen come in one vectorised step, the
+    rest from a lazy heap or a full rescan. Phase 2 is
     :func:`min_makespan_assignment` over the chosen subset (budget constraint
     dropped). Phase 2 may leave a pick without samples, so the budget is
     checked against the clients its assignment uses, not the picks.
@@ -491,17 +499,21 @@ def exact_milp(query: DistributionQuery) -> Assignment:
 # -- internals ----------------------------------------------------------------
 
 
-def _effective_capacities(query: DistributionQuery) -> np.ndarray:
-    """Capacities with unusable clients zeroed.
+def _effective_capacities(query: DistributionQuery,
+                          subset: Sequence[int] | None = None) -> np.ndarray:
+    """Capacities of all clients, or of the ``subset`` rows, with unusable
+    clients zeroed.
 
     A client with zero speed, or a positive transfer over zero bandwidth,
-    can never finish, so its capacity can never be drawn on.
+    can never finish, so its capacity can never be drawn on. Where every
+    client is usable, all clients' capacities are the query's own array, not
+    a copy; callers only read it.
     """
-    usable = (query.speeds > 0) & ((query.transfer_sizes == 0)
-                                   | (query.bandwidths > 0))
-    caps = query.capacities.copy()
-    caps[~usable] = 0
-    return caps
+    rows = slice(None) if subset is None else subset
+    usable = (query.speeds[rows] > 0) & ((query.transfer_sizes[rows] == 0)
+                                         | (query.bandwidths[rows] > 0))
+    caps = query.capacities[rows]
+    return caps if usable.all() else np.where(usable[:, None], caps, 0)
 
 
 def _check_capacity(query: DistributionQuery, caps: np.ndarray) -> None:
@@ -518,39 +530,190 @@ def _greedy_picks(caps: np.ndarray, preference: np.ndarray,
     contribution ``sum_i min(caps[n, i], remaining[i])``, ties to the first
     client id.
 
-    A contribution can only fall as categories fill, so it is evaluated
-    lazily (Minoux, 1978): a heap holds each client's last contribution, and
-    the top client is taken once its fresh contribution still leads the heap.
-    A heap key is ``-contribution * clients + rank``, the rank being the
-    client's place in id order, so the smallest key is the pick.
+    A contribution can only fall as categories fill. It has not fallen yet
+    while each category's remaining demand is at least the largest
+    ``min(caps[n, i], preference[i])`` in its column, so until then greedy
+    takes the clients in order of their first contribution: that head is
+    taken in one vectorised step (:func:`_bulk_head`), and
+    :func:`_tail_picks` picks the rest.
     """
-    remaining = preference.copy()
+    size, categories = caps.shape
+    order = np.array(sorted(range(size), key=client_ids.__getitem__),
+                     dtype=np.int64)
+    rank = np.empty(size, dtype=np.int64)
+    rank[order] = np.arange(size)
+    contrib = np.empty(size, dtype=np.int64)
+    column_max = np.zeros(categories, dtype=np.int64)
+    for lo, clipped in _clipped_blocks(caps, preference):
+        clipped.sum(axis=1, out=contrib[lo:lo + len(clipped)])
+        np.maximum(column_max, clipped.max(axis=0), out=column_max)
+    live = np.flatnonzero(contrib > 0)
+    wide = int(contrib.max(initial=0)) > (_INT64_MAX - size) // size
+    keys = np.sort(_heap_keys(contrib[live], rank[live], size, wide))
+    ahead = order[(keys % size).astype(np.int64, copy=False)]
+    head, taken = _bulk_head(caps, preference, ahead, preference - column_max)
+    picked = ahead[:head].tolist()
+    _tail_picks(caps, preference - taken, order, keys[head:].tolist(), wide,
+                picked)
+    return picked
+
+
+def _clipped_blocks(caps: np.ndarray, limit: np.ndarray,
+                    rows: np.ndarray | None = None):
+    """``np.minimum(caps[rows], limit)`` as (first row, block) pairs, in
+    blocks of about ``_BLOCK_CELLS`` cells that reuse one buffer."""
+    count = len(caps) if rows is None else len(rows)
+    step = max(1, _BLOCK_CELLS // max(1, caps.shape[1]))
+    buffer = np.empty((min(step, count), caps.shape[1]), dtype=np.int64)
+    for lo in range(0, count, step):
+        out = buffer[:min(step, count - lo)]
+        block = caps[lo:lo + step] if rows is None \
+            else np.take(caps, rows[lo:lo + step], axis=0, out=out)
+        yield lo, np.minimum(block, limit, out=out)
+
+
+def _bulk_head(caps: np.ndarray, preference: np.ndarray, ahead: np.ndarray,
+               slack: np.ndarray) -> tuple[int, np.ndarray]:
+    """How many of the clients ``ahead`` greedy picks first, in that order,
+    and the samples they fill per category.
+
+    ``ahead`` is in greedy order of first contributions, and ``slack`` is
+    each category's demand less its largest clipped capacity. Every
+    contribution is still its first while no category has filled more than
+    its slack, so the head runs through the first pick after which one has.
+    """
+    taken = np.zeros_like(preference)
+    for lo, filled in _clipped_blocks(caps, preference, ahead):
+        np.cumsum(filled, axis=0, out=filled)
+        filled += taken
+        over = (filled > slack).any(axis=1).nonzero()[0]
+        if over.size:
+            return lo + int(over[0]) + 1, filled[over[0]].copy()
+        taken = filled[-1].copy()
+    return len(ahead), taken
+
+
+def _tail_picks(caps: np.ndarray, remaining: np.ndarray, order: np.ndarray,
+                heap: list[int], wide: bool, picked: list[int]) -> None:
+    """Greedy picks after the head, appended to ``picked``.
+
+    ``heap`` holds the other live clients' keys (:func:`_heap_keys`) at
+    their first contributions, in ascending order; a contribution can only
+    fall, so these bound it from above. Picks alternate between
+    :func:`_lazy_picks`, which keeps the bounds in the heap, and
+    :func:`_scan_picks`, which recomputes every contribution at each pick
+    and is cheaper once most of a small heap goes stale between picks.
+    """
     left = int(remaining.sum())
-    size = len(client_ids)
-    order = sorted(range(size), key=client_ids.__getitem__)
-    contrib = np.minimum(caps, remaining).sum(axis=1).tolist()
-    heap = [-contrib[row] * size + rank for rank, row in enumerate(order)
-            if contrib[row] > 0]
-    heapq.heapify(heap)
-    picked: list[int] = []
+    scan = len(heap) * caps.shape[1] <= _BLOCK_CELLS
     while left > 0:
-        if not heap:
-            raise InfeasibleQueryError({int(i): int(remaining[i])
-                                        for i in np.flatnonzero(remaining > 0)})
-        rank = heapq.heappop(heap) % size
-        row = order[rank]
+        if scan:
+            heap, left = _scan_picks(caps, remaining, order, heap, wide, left,
+                                     picked)
+        else:
+            left = _lazy_picks(caps, remaining, order, heap, wide, left, picked)
+        scan = not scan
+
+
+def _lazy_picks(caps: np.ndarray, remaining: np.ndarray, order: np.ndarray,
+                heap: list[int], wide: bool, left: int,
+                picked: list[int]) -> int:
+    """Lazy greedy (Minoux, 1978) over the heap of keys ``rank -
+    contribution * clients``: the top is taken once its key is fresh. After
+    ``_STREAK`` stale tops, up to ``_REFRESH`` are refreshed in one step.
+
+    Returns the demand left: 0, or more once the heap is empty, or once one
+    pick has refreshed ``1/_SCAN_SHARE`` of a heap that fits a block.
+    """
+    size, categories = caps.shape
+    fresh: set[int] = set()  # ranks keyed by their contribution now
+    streak = 0  # stale entries refreshed since the last pick
+    while left > 0 and heap:
+        if _SCAN_SHARE * streak >= len(heap) \
+                and len(heap) * categories <= _BLOCK_CELLS:
+            break
+        rank = heap[0] % size
+        if streak >= _STREAK and rank not in fresh:
+            stale = np.array([heapq.heappop(heap) % size
+                              for _ in range(min(streak, _REFRESH, len(heap)))])
+            streak += len(stale)
+            contrib = np.minimum(caps[order[stale]], remaining).sum(axis=1)
+            alive = contrib > 0
+            for key in _heap_keys(contrib[alive], stale[alive], size,
+                                  wide).tolist():
+                heapq.heappush(heap, key)
+            fresh.update(stale[alive].tolist())
+            continue
+        heapq.heappop(heap)
+        row = int(order[rank])
         gain = np.minimum(caps[row], remaining)
         filled = int(gain.sum())
         if filled == 0:
             continue  # fills nothing now, so nothing later either
-        key = -filled * size + rank
+        key = rank - filled * size
         if heap and key > heap[0]:
             heapq.heappush(heap, key)
+            fresh.add(rank)
+            streak += 1
             continue
         picked.append(row)
         remaining -= gain
         left -= filled
-    return picked
+        fresh.clear()
+        streak = 0
+    return left
+
+
+def _scan_picks(caps: np.ndarray, remaining: np.ndarray, order: np.ndarray,
+                heap: list[int], wide: bool, left: int,
+                picked: list[int]) -> tuple[list[int], int]:
+    """Greedy picks by recomputing every candidate's contribution at each
+    pick, over the heap's clients in id order.
+
+    Returns the heap rebuilt from the latest contributions, and the demand
+    left: 0, or more once ``_CALM_SCANS`` picks in a row have each lowered
+    under ``1/_SCAN_SHARE`` of the contributions, so the heap is cheaper.
+    """
+    size = len(order)
+    ranks = np.sort(np.array([key % size for key in heap], dtype=np.int64))
+    cells = caps[order[ranks]]
+    work = np.empty_like(cells)
+    last, calm = None, 0
+    while left > 0:
+        contrib = np.minimum(cells, remaining, out=work[:len(cells)]).sum(axis=1)
+        top = contrib.max(initial=0)
+        if top == 0:
+            raise InfeasibleQueryError({int(i): int(remaining[i])
+                                        for i in np.flatnonzero(remaining > 0)})
+        if last is not None:
+            fell = np.count_nonzero(contrib < last)
+            calm = calm + 1 if _SCAN_SHARE * fell < len(last) else 0
+            if calm >= _CALM_SCANS:
+                keep = contrib > 0
+                heap = _heap_keys(contrib[keep], ranks[keep], size, wide).tolist()
+                heap.sort()
+                return heap, left
+        best = int((contrib == top).nonzero()[0][0])  # the first: ranks ascend
+        picked.append(int(order[ranks[best]]))
+        remaining -= work[best]
+        left -= int(top)
+        cells[best] = 0
+        contrib[best] = 0
+        last = contrib
+        if 2 * np.count_nonzero(contrib) < len(contrib):
+            keep = contrib > 0
+            ranks, cells, last = ranks[keep], cells[keep], contrib[keep]
+    return [], 0
+
+
+def _heap_keys(contrib: np.ndarray, ranks: np.ndarray, size: int,
+               wide: bool) -> np.ndarray:
+    """Keys ``rank - contribution * size``: the smallest is the largest
+    contribution, ties to the first id. ``wide`` computes them in Python
+    ints, for contributions where int64 would overflow."""
+    if wide:
+        contrib = contrib.astype(object)
+    return ranks - contrib * size
 
 
 def _transfer_times(query: DistributionQuery, subset: Sequence[int]) -> np.ndarray:
@@ -628,7 +791,7 @@ def min_makespan_assignment(query: DistributionQuery,
     floor usually settles it; only if it fails does the search go on above
     the floor with a flow feasibility check at every probe.
     """
-    caps_sub = _effective_capacities(query)[subset]
+    caps_sub = _effective_capacities(query, subset)
     preference = query.preference
     speeds, transfers = query.speeds[subset], _transfer_times(query, subset)
     row_caps = caps_sub.sum(axis=1)

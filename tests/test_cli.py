@@ -214,6 +214,21 @@ def test_simulate_train_out_file_is_a_usage_error(runner, tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "run.json"]
 
 
+@pytest.mark.parametrize("below", ["sub", "sub/deeper"])
+def test_simulate_train_out_under_a_file_is_a_usage_error(runner, tmp_path,
+                                                          below):
+    cfg = tiny_run_config(tmp_path)
+    afile = tmp_path / "afile"
+    afile.write_text("keep")
+    result = runner.invoke(main, ["simulate-train", "--config", cfg,
+                                  "--out", str(afile / below)])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "'--out'" in result.output and "is not a directory" in result.output
+    assert afile.read_text() == "keep"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "run.json"]
+
+
 def write_query_files(tmp_path, budget=3):
     caps = tmp_path / "caps.tsv"
     caps.write_text("client_id\tcategory\tcount\n"
@@ -354,6 +369,29 @@ def test_compose_testset_out_directory_is_a_usage_error(runner, tmp_path):
     assert list(out.iterdir()) == []
 
 
+def out_in_missing_directory_or_under_file(tmp_path, where):
+    """An ``--out`` path whose parent is missing, or is a file."""
+    if where == "missing":
+        return tmp_path / "missing" / "x.tsv", "does not exist"
+    (tmp_path / "afile").write_text("keep")
+    return tmp_path / "afile" / "x.tsv", "is not a directory"
+
+
+@pytest.mark.parametrize("where", ["missing", "file"])
+def test_compose_testset_out_without_directory_is_a_usage_error(runner, tmp_path,
+                                                                 where):
+    query, caps = write_query_files(tmp_path)
+    out, problem = out_in_missing_directory_or_under_file(tmp_path, where)
+    before = sorted(p.name for p in tmp_path.iterdir())
+    result = runner.invoke(main, ["compose-testset", "--query", query,
+                                  "--capacities", caps, "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "'--out'" in result.output and problem in result.output
+    assert "greedy" not in result.output
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
 def test_compose_testset_reports_unmatched_client_rows(runner, tmp_path):
     query, caps = write_query_files(tmp_path)
     clients = tmp_path / "clients.tsv"
@@ -434,3 +472,17 @@ def test_bench_cover_out_directory_is_a_usage_error(runner, tmp_path):
     assert isinstance(result.exception, SystemExit)
     assert "'--out'" in result.output and "is a directory" in result.output
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("where", ["missing", "file"])
+def test_bench_cover_out_without_directory_is_a_usage_error(runner, tmp_path,
+                                                            where):
+    out, problem = out_in_missing_directory_or_under_file(tmp_path, where)
+    before = sorted(p.name for p in tmp_path.iterdir())
+    result = runner.invoke(main, ["bench-cover", "--sizes", "5", "--seeds", "0",
+                                  "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "'--out'" in result.output and problem in result.output
+    assert "N=5" not in result.output
+    assert sorted(p.name for p in tmp_path.iterdir()) == before

@@ -8,19 +8,20 @@ last bit of a makespan shows up here. They cover the makespan search of
 solver.
 
 The flow network and the transfer times are also checked against the
-per-edge and per-client loops they replaced, greedy's lazy phase 1 against the
-full rescan it replaced, the makespan search's cut-row floor against the
-flow-only search it replaced, the threshold search against the two-branch
-search it replaced and against listing every completion time, the exact
-solver against the branch-and-bound it replaced, and the cut rows of its
-covering test against the flow feasibility check. The solvers' invariants are
-property-tested on small random queries.
+per-edge and per-client loops they replaced, greedy's phase 1 against the
+lazy heap and the full rescan it replaced, the makespan search's cut-row
+floor against the flow-only search it replaced, the threshold search against
+the two-branch search it replaced and against listing every completion time,
+the exact solver against the branch-and-bound it replaced, and the cut rows
+of its covering test against the flow feasibility check. The solvers'
+invariants are property-tested on small random queries.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
+import heapq
 import itertools
 import math
 
@@ -279,7 +280,7 @@ def test_greedy_at_its_own_participant_count_keeps_its_cover(query):
         assert_same_assignment(testing.greedy_cover(query), free)
 
 
-# -- greedy phase 1 against the full-rescan reference -------------------------
+# -- greedy phase 1 against the lazy and full-rescan references ---------------
 
 
 def reference_greedy_picks(caps, preference, client_ids) -> list[int]:
@@ -306,6 +307,55 @@ def reference_greedy_picks(caps, preference, client_ids) -> list[int]:
     return picked
 
 
+def lazy_greedy_picks(caps, preference, client_ids) -> list[int]:
+    """The lazy phase 1 (Minoux, 1978) this module shipped before the bulk
+    head: one heap pop and one fresh contribution at a time."""
+    remaining = preference.copy()
+    left = int(remaining.sum())
+    size = len(client_ids)
+    order = sorted(range(size), key=client_ids.__getitem__)
+    contrib = np.minimum(caps, remaining).sum(axis=1).tolist()
+    heap = [-contrib[row] * size + rank for rank, row in enumerate(order)
+            if contrib[row] > 0]
+    heapq.heapify(heap)
+    picked: list[int] = []
+    while left > 0:
+        if not heap:
+            raise InfeasibleQueryError({int(i): int(remaining[i])
+                                        for i in np.flatnonzero(remaining > 0)})
+        rank = heapq.heappop(heap) % size
+        row = order[rank]
+        gain = np.minimum(caps[row], remaining)
+        filled = int(gain.sum())
+        if filled == 0:
+            continue
+        key = -filled * size + rank
+        if heap and key > heap[0]:
+            heapq.heappush(heap, key)
+            continue
+        picked.append(row)
+        remaining -= gain
+        left -= filled
+    return picked
+
+
+BOTH_REFERENCES = (reference_greedy_picks, lazy_greedy_picks)
+
+
+def assert_picks_match(references, caps, preference, ids) -> None:
+    """``_greedy_picks`` makes each reference's picks, or raises its
+    shortfalls."""
+    for reference in references:
+        try:
+            want = reference(caps, preference, ids)
+        except InfeasibleQueryError as exc:
+            with pytest.raises(InfeasibleQueryError) as got:
+                testing._greedy_picks(caps, preference, ids)
+            assert got.value.shortfalls == exc.shortfalls
+        else:
+            assert testing._greedy_picks(caps, preference, ids) == want
+
+
 @st.composite
 def pick_inputs(draw):
     """Capacities with many equal contributions, ids out of row order, and a
@@ -324,23 +374,104 @@ def pick_inputs(draw):
 @settings(max_examples=300, deadline=None)
 @given(pick_inputs())
 def test_lazy_greedy_picks_match_full_rescan(inputs):
-    caps, preference, ids = inputs
-    try:
-        want = reference_greedy_picks(caps, preference, ids)
-    except InfeasibleQueryError as exc:
-        with pytest.raises(InfeasibleQueryError) as got:
-            testing._greedy_picks(caps, preference, ids)
-        assert got.value.shortfalls == exc.shortfalls
-        return
-    assert testing._greedy_picks(caps, preference, ids) == want
+    assert_picks_match(BOTH_REFERENCES, *inputs)
 
 
 @pytest.mark.parametrize("shape, seed", [((1000, 30), 1), ((200, 10), 3)])
 def test_lazy_greedy_picks_match_full_rescan_on_random_queries(shape, seed):
     query = _random_query(*shape, seed)
     caps = testing._effective_capacities(query)
-    assert testing._greedy_picks(caps, query.preference, query.client_ids) \
-        == reference_greedy_picks(caps, query.preference, query.client_ids)
+    assert_picks_match(BOTH_REFERENCES, caps, query.preference,
+                       query.client_ids)
+
+
+@st.composite
+def bulk_head_inputs(draw, clients: tuple[int, int],
+                     categories: tuple[int, int]):
+    """Instances with long bulk heads and their ends: demand far above the
+    caps (or beyond the totals), categories with no demand, categories with
+    a demand of 1-3 that a few clients hold and so a pick in the middle of
+    the head first touches, many tied contributions, ids out of row order."""
+    n = draw(st.integers(*clients))
+    i = draw(st.integers(*categories))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    caps = rng.integers(0, draw(st.integers(1, 20)) + 1, size=(n, i))
+    if draw(st.booleans()):
+        caps[rng.random((n, i)) < draw(st.floats(0.0, 0.9))] = 0
+    share = draw(st.floats(0.05, 1.1))
+    preference = np.ceil(caps.sum(axis=0) * share).astype(np.int64)
+    for k in draw(st.lists(st.integers(0, i - 1), max_size=3)):
+        caps[:, k] = 0
+        holders = rng.choice(n, size=min(n, draw(st.integers(1, 3))),
+                             replace=False)
+        caps[holders, k] = rng.integers(1, 4, size=holders.size)
+        preference[k] = draw(st.integers(1, 3))
+    preference[draw(st.lists(st.integers(0, i - 1), max_size=i))] = 0
+    if preference.sum() == 0:
+        preference[0] = 1
+    ids = tuple(f"c{j:05d}" for j in rng.permutation(n))
+    return caps, preference, ids
+
+
+@settings(max_examples=200, deadline=None)
+@given(bulk_head_inputs(clients=(1, 300), categories=(1, 12)))
+def test_greedy_picks_match_both_references_on_long_heads(inputs):
+    assert_picks_match(BOTH_REFERENCES, *inputs)
+
+
+@settings(max_examples=12, deadline=None)
+@given(bulk_head_inputs(clients=(2500, 4000), categories=(25, 30)))
+def test_greedy_picks_match_lazy_reference_past_a_block(inputs):
+    # Tails of more than ``_BLOCK_CELLS`` cells start on the heap.
+    assert_picks_match((lazy_greedy_picks,), *inputs)
+
+
+def test_greedy_picks_are_exact_where_heap_keys_pass_int64():
+    query = _random_query(5000, 30, 2)
+    caps = testing._effective_capacities(query)
+    scale = 10 ** 13
+    assert int(caps.sum(axis=1).max()) * scale * len(caps) > 2 ** 63
+    want = testing._greedy_picks(caps, query.preference, query.client_ids)
+    scaled = (caps * scale, query.preference * scale, query.client_ids)
+    assert testing._greedy_picks(*scaled) == want
+    assert lazy_greedy_picks(*scaled) == want
+
+
+def test_bulk_head_spans_blocks_and_takes_most_picks(monkeypatch):
+    heads = []
+    tail = testing._tail_picks
+
+    def recording(caps, remaining, order, heap, wide, picked):
+        heads.append(len(picked))
+        return tail(caps, remaining, order, heap, wide, picked)
+
+    monkeypatch.setattr(testing, "_tail_picks", recording)
+    query = _random_query(10_000, 30, 4)
+    caps = testing._effective_capacities(query)
+    picks = testing._greedy_picks(caps, query.preference, query.client_ids)
+    assert heads[0] >= 0.9 * len(picks)
+    assert heads[0] > testing._BLOCK_CELLS // 30  # fills carried across blocks
+    assert picks == lazy_greedy_picks(caps, query.preference, query.client_ids)
+
+
+def test_effective_capacities_of_a_subset_are_those_rows():
+    n = 6
+    query = testing.DistributionQuery(
+        client_ids=tuple(f"c{j}" for j in range(n)),
+        capacities=np.arange(2 * n).reshape(n, 2), preference=[1, 1],
+        budget=n, speeds=[1.0, 0.0, 1.0, 1.0, 1.0, 1.0],
+        bandwidths=[1e6, 1e6, 0.0, 0.0, 1e6, 1e6],
+        transfer_sizes=[1e6, 1e6, 1e6, 0.0, 1e6, 1e6])
+    caps = testing._effective_capacities(query)
+    assert caps[:, 0].tolist() == [0, 0, 0, 6, 8, 10]
+    for subset in ([], [4], [5, 1, 2], [3, 0]):
+        got = testing._effective_capacities(query, subset)
+        assert got.shape == (len(subset), 2)
+        assert got.tolist() == caps[subset].tolist()
+    usable = dataclasses.replace(query, speeds=np.ones(n),
+                                 bandwidths=np.full(n, 1e6))
+    assert np.shares_memory(testing._effective_capacities(usable),
+                            usable.capacities)
 
 
 # -- threshold search against the two-branch reference ------------------------
