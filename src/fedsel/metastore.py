@@ -166,25 +166,63 @@ def _decode_ids(blob: np.ndarray, ends: np.ndarray) -> tuple[str, ...]:
                      map(slice, starts.tolist(), ends.tolist())))
 
 
-def _check_table(table: ClientTable, round_index: int) -> None:
-    if not set(map(type, table.ids)) <= {str}:
+def _check_header(round_index: object, preferred_duration: object,
+                  utility_history: object) -> tuple[float, tuple[float, ...]]:
+    """The header rules; returns the preferred duration and history as floats."""
+    r = round_index
+    if type(r) is not int or r < 0:
+        raise CheckpointError(f"round_index must be an int >= 0, got {r!r}")
+    t_pref = _as_float(preferred_duration, "preferred_duration")
+    if not t_pref > 0:
+        raise CheckpointError("preferred_duration must be > 0")
+    if not isinstance(utility_history, (list, tuple)):
+        raise CheckpointError("utility_history must be a list")
+    history = tuple(_as_float(v, "utility_history value")
+                    for v in utility_history)
+    if len(history) != r:
+        raise CheckpointError(
+            f"utility_history has {len(history)} entries for round {r}")
+    return t_pref, history
+
+
+def _check_ids(ids: tuple[str, ...]) -> None:
+    if not set(map(type, ids)) <= {str}:
         raise CheckpointError("client ids must be strings")
-    if len(set(table.ids)) != len(table.ids):
+    if len(set(ids)) != len(ids):
         raise CheckpointError("checkpoint contains duplicate client ids")
+
+
+def _check_columns(cols: Mapping[str, np.ndarray], round_index: int) -> None:
+    """The column rules, over one array per ``_COLUMNS`` name."""
     for name in ("stat_utility", "duration"):
-        col = getattr(table, name)
+        col = cols[name]
         if not np.all(np.isfinite(col)) or np.any(col < 0):
             raise CheckpointError(f"{name} must be finite and >= 0")
-    hint = table.speed_hint[~np.isnan(table.speed_hint)]
+    hint = cols["speed_hint"]
+    hint = hint[~np.isnan(hint)]
     if not np.all(np.isfinite(hint)) or np.any(hint <= 0):
         raise CheckpointError("speed_hint must be finite and > 0 when given")
-    if np.any(table.times_selected < 0) or np.any(table.last_round < 0):
+    last_round, explored = cols["last_round"], cols["explored"]
+    if np.any(cols["times_selected"] < 0) or np.any(last_round < 0):
         raise CheckpointError("counters must be >= 0")
-    if len(table) and int(table.last_round.max()) > round_index:
+    if last_round.size and int(last_round.max()) > round_index:
         raise CheckpointError("last_round exceeds the checkpoint's round_index")
-    explored = table.explored
-    if np.any(table.last_round[explored] < 1) or np.any(table.duration[explored] <= 0):
+    if np.any(last_round[explored] < 1) or np.any(cols["duration"][explored] <= 0):
         raise CheckpointError("explored clients need last_round >= 1 and duration > 0")
+
+
+def _write_archive(fh: BinaryIO, round_index: int, preferred_duration: float,
+                   utility_history: tuple[float, ...], blob: np.ndarray,
+                   ends: np.ndarray, cols: Mapping[str, np.ndarray]) -> None:
+    """Write a v2 archive; ``blob`` and ``ends`` encode the ids of ``cols``."""
+    header = json.dumps({
+        "format": CHECKPOINT_FORMAT,
+        "round_index": round_index,
+        "preferred_duration": preferred_duration,
+        "utility_history": list(utility_history),
+    }, separators=(",", ":"))
+    np.savez(fh, header=np.array(header), client_ids=blob, client_id_ends=ends,
+             **{name: cols[name] for name, _ in _COLUMNS})
 
 
 @dataclass(frozen=True)
@@ -202,37 +240,16 @@ class Checkpoint:
     table: ClientTable
 
     def __post_init__(self):
-        r = self.round_index
-        if type(r) is not int or r < 0:
-            raise CheckpointError(f"round_index must be an int >= 0, got {r!r}")
-        t_pref = _as_float(self.preferred_duration, "preferred_duration")
-        if not t_pref > 0:
-            raise CheckpointError("preferred_duration must be > 0")
-        if not isinstance(self.utility_history, (list, tuple)):
-            raise CheckpointError("utility_history must be a list")
-        history = tuple(_as_float(v, "utility_history value")
-                        for v in self.utility_history)
-        if len(history) != r:
-            raise CheckpointError(
-                f"utility_history has {len(history)} entries for round {r}")
+        t_pref, history = _check_header(self.round_index,
+                                        self.preferred_duration,
+                                        self.utility_history)
         if not isinstance(self.table, ClientTable):
             raise CheckpointError("table must be a ClientTable")
-        _check_table(self.table, r)
+        _check_ids(self.table.ids)
+        _check_columns({name: getattr(self.table, name) for name, _ in _COLUMNS},
+                       self.round_index)
         object.__setattr__(self, "preferred_duration", t_pref)
         object.__setattr__(self, "utility_history", history)
-
-    def _write(self, fh: BinaryIO, blob: np.ndarray, ends: np.ndarray) -> None:
-        """Write a v2 archive; ``blob`` and ``ends`` encode ``table.ids``."""
-        header = json.dumps({
-            "format": CHECKPOINT_FORMAT,
-            "round_index": self.round_index,
-            "preferred_duration": self.preferred_duration,
-            "utility_history": list(self.utility_history),
-        }, separators=(",", ":"))
-        t = self.table
-        np.savez(fh, header=np.array(header), client_ids=blob,
-                 client_id_ends=ends,
-                 **{name: getattr(t, name) for name, _ in _COLUMNS})
 
     @classmethod
     def read(cls, path: str) -> "Checkpoint":
@@ -252,7 +269,7 @@ class Checkpoint:
     @classmethod
     def _from_archive(cls, fh: BinaryIO) -> "Checkpoint":
         """Decode a v2 archive with exactly the members, dtypes and shapes
-        that :meth:`_write` gives it."""
+        that :func:`_write_archive` gives it."""
         try:
             with np.load(fh, allow_pickle=False) as npz:
                 infos = npz.zip.infolist()
@@ -326,8 +343,8 @@ class MetaStore:
         self._sorted = True
         # (ids, slots) shared by views; rebuilt after a registration.
         self._frozen: tuple[tuple[str, ...], Mapping[str, int]] | None = None
-        # (ids, blob, ends) from _encode_ids, made by a save; current while
-        # ids is the _frozen ids tuple.
+        # (ids, blob, ends) from _encode_ids, made by a save once it has
+        # checked ids; current while ids is the _frozen ids tuple.
         self._encoded_ids: tuple[tuple[str, ...], np.ndarray, np.ndarray] | None = None
         self._round = 0
         self._preferred_duration = float(preferred_duration)
@@ -503,15 +520,12 @@ class MetaStore:
 
     def snapshot(self) -> Checkpoint:
         with self._lock:
-            return self._snapshot()
-
-    def _snapshot(self) -> Checkpoint:
-        return Checkpoint(
-            round_index=self._round,
-            preferred_duration=self._preferred_duration,
-            utility_history=tuple(self._utility_history),
-            table=self._table(),
-        )
+            return Checkpoint(
+                round_index=self._round,
+                preferred_duration=self._preferred_duration,
+                utility_history=tuple(self._utility_history),
+                table=self._table(),
+            )
 
     def restore(self, checkpoint: Checkpoint) -> None:
         """Replace all in-memory state from a (validated) checkpoint."""
@@ -535,23 +549,33 @@ class MetaStore:
             self._utility_history = list(checkpoint.utility_history)
 
     def save(self, path: str) -> None:
-        """Write the snapshot as a ``fedsel-metastore-v2`` archive, atomically.
+        """Write the store as a ``fedsel-metastore-v2`` archive, atomically.
 
         The archive is one uncompressed ``.npz`` (without the suffix): a 0-d
         JSON header with the format, round index, preferred duration and
         utility history, the encoded client ids and the seven columns, rows
-        in client-id order. It is written to ``path.tmp`` and renamed over
-        ``path``. The ids are encoded by the first save after a
-        registration, sort or restore, and reused until the next one.
+        in client-id order. It is written from the live columns, with no
+        snapshot copy, to ``path.tmp`` and renamed over ``path``. Every save
+        first checks the header and column rules of :class:`Checkpoint` on
+        those columns, so a save that fails them opens no file. The ids are
+        checked and encoded by the first save after a registration, sort or
+        restore, and reused until the next one.
         """
         with self._lock:
-            checkpoint = self._snapshot()
-            ids = checkpoint.table.ids
+            ids, _ = self._index()
             if self._encoded_ids is None or self._encoded_ids[0] is not ids:
+                _check_ids(ids)
                 self._encoded_ids = (ids, *_encode_ids(ids))
+            n = len(ids)
+            cols = {name: col[:n] for name, col in self._cols.items()}
+            t_pref, history = _check_header(self._round,
+                                            self._preferred_duration,
+                                            self._utility_history)
+            _check_columns(cols, self._round)
             tmp = f"{path}.tmp"
             with open(tmp, "wb") as fh:
-                checkpoint._write(fh, *self._encoded_ids[1:])
+                _write_archive(fh, self._round, t_pref, history,
+                               *self._encoded_ids[1:], cols)
             os.replace(tmp, path)
 
     def load(self, path: str) -> None:

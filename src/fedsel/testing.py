@@ -27,6 +27,9 @@ _EXACT_MAX_CLIENTS, _EXACT_MAX_CATEGORIES = 20, 5
 # (speed, bandwidth, transfer_bytes) of a client missing from the client table.
 _DEFAULT_CLIENT = (10.0, 1e6, 1e6)
 _INT64_MAX = int(np.iinfo(np.int64).max)
+# Most cells, clients x (largest category + 1), a capacity file may need in
+# its dense int64 matrix: 1 GiB. It admits 10^6 clients x 30 categories.
+_MAX_CAPACITY_CELLS = 2 ** 27
 # Cells of one vectorised block, about 0.5 MB: Monte-Carlo trials per draw
 # times distinct count values, or greedy-cover clients times categories.
 _BLOCK_CELLS = 2 ** 16
@@ -334,8 +337,15 @@ def compile_representative_preference(global_counts: Sequence[int],
 
 
 def read_capacity_file(path: str) -> tuple[list[str], np.ndarray]:
-    """Tabular capacity matrix: one (client_id, category, count) row per cell."""
+    """Tabular capacity matrix: one (client_id, category, count) row per cell.
+
+    The matrix is dense, so a file whose clients times (largest category + 1)
+    would pass ``_MAX_CAPACITY_CELLS`` is rejected at the row that passes it,
+    before the matrix is allocated.
+    """
     cells: dict[tuple[str, int], int] = {}
+    clients: set[str] = set()
+    width = 0
     columns = ("client_id", "category", "count")
     for line_no, cid, (cat, count) in read_table(path, columns, int):
         if cat < 0 or count < 0:
@@ -346,6 +356,12 @@ def read_capacity_file(path: str) -> tuple[list[str], np.ndarray]:
         if (cid, cat) in cells:
             raise TableParseError(path, line_no,
                                   f"duplicate row for {cid!r}, category {cat}")
+        clients.add(cid)
+        width = max(width, cat + 1)
+        if len(clients) * width > _MAX_CAPACITY_CELLS:
+            raise TableParseError(
+                path, line_no, f"a {len(clients)} x {width} capacity matrix "
+                f"passes the limit of {_MAX_CAPACITY_CELLS} cells")
         cells[cid, cat] = count
     if not cells:
         raise TableParseError(path, 1, "no capacity rows")

@@ -331,10 +331,12 @@ class Breakdowns(Sequence[UtilityBreakdown]):
 
 
 class TrainingSelector:
-    """Stateless selection pipeline over an immutable metastore view.
+    """Selection pipeline over an immutable metastore view.
 
-    All randomness derives from (seed, round), so a selection is reproducible
-    regardless of caller threading.
+    It holds no state that changes a selection: all randomness derives from
+    (seed, round), so a selection is reproducible regardless of caller
+    threading, and the only cache, of straggler factors, is keyed on the
+    duration values it was computed from.
     """
 
     def __init__(self, config: SelectorConfig, seed: int = 0,
@@ -343,6 +345,8 @@ class TrainingSelector:
         self.seed = seed
         self.metrics_sink = metrics_sink
         self._sink_header_written = False
+        # (T, alpha, durations, factors) of the last _straggler_factors call.
+        self._straggler_memo: tuple[float, float, np.ndarray, np.ndarray] | None = None
 
     def compute_breakdowns(self, view: "StoreView", round_index: int,
                            candidates: Candidates = None) -> Breakdowns:
@@ -371,18 +375,13 @@ class TrainingSelector:
         stale = np.sqrt(0.1 * math.log(round_index) / last)
         combined = stat + stale
 
-        # system_penalty(), with Python's float power on the stragglers so
-        # the result matches the scalar form bit for bit.
+        # system_penalty(): factors are 1.0 off the stragglers, so the
+        # product equals the scalar form bit for bit on every row.
         t_pref = view.preferred_duration
-        duration = table.duration[rows]
-        if not t_pref > 0 or duration.min() <= 0:
+        if not t_pref > 0 or table.duration[rows].min() <= 0:
             raise ValueError("durations must be > 0")
-        alpha = cfg.straggler_penalty
-        with_sys = combined.copy()
-        slow = np.flatnonzero(duration > t_pref)
-        ratios = (t_pref / duration[slow]).tolist()
-        with_sys[slow] = combined[slow] * np.array([r ** alpha for r in ratios],
-                                                   dtype=np.float64)
+        with_sys = combined * self._straggler_factors(
+            t_pref, cfg.straggler_penalty, table.duration)[rows]
         factor = np.ones_like(combined)
         positive = combined > 0
         factor[positive] = with_sys[positive] / combined[positive]
@@ -470,6 +469,34 @@ class TrainingSelector:
         return [table.ids[row] for row in selected], breakdowns
 
     # -- internals ---------------------------------------------------------
+
+    def _straggler_factors(self, t_pref: float, alpha: float,
+                           durations: np.ndarray) -> np.ndarray:
+        """``(T/d)**alpha`` for each row slower than ``T``, 1.0 elsewhere.
+
+        Memoised on (T, alpha, durations): when T, alpha and the row count
+        match the last call, only the rows whose duration changed are
+        recomputed, with Python's float power so each factor matches
+        :func:`system_penalty`.
+        The memo is replaced in one assignment and its arrays are never
+        written after, so concurrent callers at worst miss it.
+        """
+        memo = self._straggler_memo
+        if (memo is not None and memo[:2] == (t_pref, alpha)
+                and memo[2].shape == durations.shape):
+            stale = np.flatnonzero(memo[2] != durations)
+            factors = memo[3].copy() if stale.size else memo[3]
+        else:
+            stale = np.arange(durations.size)
+            factors = np.empty(durations.size)
+        if stale.size:
+            slow = stale[durations[stale] > t_pref]
+            factors[stale] = 1.0
+            ratios = (t_pref / durations[slow]).tolist()
+            factors[slow] = [r ** alpha for r in ratios]
+            factors.setflags(write=False)
+        self._straggler_memo = (t_pref, alpha, durations, factors)
+        return factors
 
     def _rng(self, round_index: int, stream: int) -> np.random.Generator:
         return np.random.default_rng([self.seed, round_index, stream])

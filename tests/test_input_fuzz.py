@@ -5,18 +5,25 @@ from __future__ import annotations
 import math
 import os
 import tempfile
+from unittest import mock
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedsel import testing
 from fedsel.errors import FedselError
-from fedsel.testing import read_client_table
+from fedsel.testing import read_capacity_file, read_client_table
 from fedsel.workload import load_trace
 
 _TRACE = [["client_id", "compute_latency", "bandwidth", "availability"],
           ["a", "0.5", "1234", "0.9"],
           ["b", "1e-3", "5e6", "1"],
           ["c", "2", "10", "0.25"]]
+_CAPACITIES = [["client_id", "category", "count"],
+               ["a", "0", "3"],
+               ["b", "2", "7"],
+               ["a", "1", "0"]]
 _CLIENTS = [["client_id", "speed", "bandwidth", "transfer_bytes"],
             ["a", "5.0", "1000", "10"],
             ["b", "0", "1e6", "0"],
@@ -25,12 +32,24 @@ _CLIENTS = [["client_id", "speed", "bandwidth", "transfer_bytes"],
 # Row 0 is the header, so a mutation may hit it too.
 _CELLS = st.sampled_from(["nan", "-inf", "inf", "1e400", "9" * 5000, "-1",
                           "0", "\ud800", "\x85", "\t", ",", ""])
-_MUTATIONS = st.lists(st.one_of(
-    st.tuples(st.just("cell"), st.integers(0, 3), st.integers(0, 3), _CELLS),
-    st.tuples(st.just("duplicate"), st.integers(0, 3)),
-    st.tuples(st.just("truncate"), st.integers(0, 1 << 10)),
-    st.tuples(st.just("flip"), st.integers(0, 1 << 10), st.integers(1, 255)),
-), min_size=1, max_size=4)
+
+
+def mutation_lists(cells: st.SearchStrategy[str]) -> st.SearchStrategy[list]:
+    return st.lists(st.one_of(
+        st.tuples(st.just("cell"), st.integers(0, 3), st.integers(0, 3), cells),
+        st.tuples(st.just("duplicate"), st.integers(0, 3)),
+        st.tuples(st.just("truncate"), st.integers(0, 1 << 10)),
+        st.tuples(st.just("flip"), st.integers(0, 1 << 10), st.integers(1, 255)),
+    ), min_size=1, max_size=4)
+
+
+_MUTATIONS = mutation_lists(_CELLS)
+_CAPACITY_MUTATIONS = mutation_lists(_CELLS | st.sampled_from(
+    [str(10 ** 14), str(2 ** 27), str(2 ** 63 - 1), "3", "1"]))
+# The capacity property runs under this cell limit. Byte flips can turn a
+# huge category into any smaller number, and the reader's own limit admits
+# matrices of 1 GiB, which a test must not allocate.
+_FUZZ_CAPACITY_CELLS = 2 ** 12
 
 
 def mutated(table: list[list[str]], sep: str, mutations) -> bytes:
@@ -40,7 +59,8 @@ def mutated(table: list[list[str]], sep: str, mutations) -> bytes:
     for kind, *args in mutations:
         if kind == "cell":
             row, col, value = args
-            rows[row % len(rows)][col] = value
+            cells = rows[row % len(rows)]
+            cells[col % len(cells)] = value
         elif kind == "duplicate":
             rows.append(list(rows[args[0] % len(rows)]))
     text = "".join(sep.join(row) + "\n" for row in rows)
@@ -86,3 +106,16 @@ def test_mutated_client_table_loads_or_fails_typed(sep, mutations):
     if table is not None:
         for values in table.values():
             assert all(math.isfinite(v) and v >= 0 for v in values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sep=st.sampled_from(["\t", ","]), mutations=_CAPACITY_MUTATIONS)
+def test_mutated_capacity_table_loads_or_fails_typed(sep, mutations):
+    with mock.patch.object(testing, "_MAX_CAPACITY_CELLS", _FUZZ_CAPACITY_CELLS):
+        read = read_or_fail_typed(read_capacity_file,
+                                  mutated(_CAPACITIES, sep, mutations))
+    if read is not None:
+        ids, caps = read
+        assert ids == sorted(set(ids)) and ids
+        assert caps.dtype == np.int64 and caps.shape[0] == len(ids)
+        assert 1 <= caps.size <= _FUZZ_CAPACITY_CELLS and np.all(caps >= 0)

@@ -238,6 +238,47 @@ def test_restore_of_truncated_file_errors_and_preserves_state(tmp_path):
     assert s.snapshot() == before
 
 
+@pytest.mark.parametrize("column, value, message", [
+    ("duration", math.nan, "duration must be finite"),
+    ("stat_utility", -1.0, "stat_utility must be finite and >= 0"),
+    ("last_round", 2, "last_round exceeds"),
+    ("speed_hint", 0.0, "speed_hint must be finite and > 0"),
+])
+def test_save_checks_the_live_columns(tmp_path, column, value, message):
+    s = store()
+    for cid in "abc":
+        s.register_client(cid)
+    feed(s, ("a", 2.0, 1.0), ("b", 3.0, 4.0))
+    path = tmp_path / "cp"
+    s.save(str(path))
+    saved = path.read_bytes()
+    s._cols[column][s.view().slots["b"]] = value
+    with pytest.raises(CheckpointError, match=message):
+        s.save(str(path))
+    assert path.read_bytes() == saved
+    assert not (tmp_path / "cp.tmp").exists()
+
+
+def test_save_checks_ids_once_per_id_set(tmp_path, monkeypatch):
+    calls = []
+    check_ids = metastore._check_ids
+    monkeypatch.setattr(metastore, "_check_ids",
+                        lambda ids: calls.append(ids) or check_ids(ids))
+    s = store()
+    s.register_client("b")
+    path = str(tmp_path / "cp")
+    for _ in range(3):
+        s.save(path)
+    assert calls == [("b",)]
+    s.register_client("a")
+    s.save(path)
+    s.save(path)
+    assert calls == [("b",), ("a", "b")]
+    s.load(path)  # the checkpoint checks its ids; so does the next save
+    s.save(path)
+    assert calls == [("b",), ("a", "b"), ("a", "b"), ("a", "b")]
+
+
 def archive_members(path) -> dict:
     with np.load(path, allow_pickle=False) as npz:
         return {name: npz[name] for name in npz.files}

@@ -684,6 +684,27 @@ def test_client_table_rejects_invalid_utf8_typed(tmp_path):
         read_client_table(str(path))
 
 
+@pytest.mark.parametrize("rows, line", [
+    (f"a\t{10 ** 14}\t1\n", 2),
+    # 2^26 + 1 columns fit one client; the second client passes the limit.
+    (f"a\t{2 ** 26}\t1\nb\t0\t1\n", 3),
+    (f"a\t0\t1\nb\t0\t1\nc\t{2 ** 26}\t1\n", 4),
+], ids=["one_row_1e14", "second_client", "wide_third_row"])
+def test_capacity_file_too_large_for_its_matrix_rejected_typed(tmp_path, rows,
+                                                               line):
+    # Each file is rejected before the dense matrix is allocated.
+    path = tmp_path / "caps.tsv"
+    path.write_text("client_id\tcategory\tcount\n" + rows)
+    with pytest.raises(TableParseError,
+                       match=rf"caps\.tsv:{line}: .* limit of {2 ** 27} cells"):
+        read_capacity_file(str(path))
+
+
+def test_capacity_matrix_limit_admits_the_largest_benchmark_shape():
+    # bench-cover and the benchmark go up to 10^6 clients x 30 categories.
+    assert testing._MAX_CAPACITY_CELLS >= 10 ** 6 * 30
+
+
 def test_capacity_file_rejects_duplicate_cell(tmp_path):
     path = tmp_path / "caps.tsv"
     path.write_text("client_id\tcategory\tcount\n"

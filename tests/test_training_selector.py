@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedsel.errors import EmptySelectionError
-from fedsel.metastore import ClientTable, StoreView
+from fedsel.metastore import (ClientTable, MetaStore, RoundFeedback,
+                              StoreView)
 from fedsel.training import (SelectorConfig, TrainingSelector, clip_cap,
                              exploration_fraction, gradient_norm_utility,
                              aggregate_statistical_utility, pacer_tick,
@@ -387,6 +390,94 @@ def test_breakdown_identity_and_components():
         assert b.final_utility == pytest.approx(expect, rel=1e-12)
         assert b.final_utility >= 0
         assert math.isfinite(b.final_utility)
+
+
+# Interleaved feedback, pacer steps and registrations on two stores that
+# share one selector, so its straggler memo sees changed durations, moved T,
+# shifted rows and the other store's columns.
+_MEMO_OPS = st.lists(st.one_of(
+    st.tuples(st.just("feedback"), st.integers(0, 1), st.lists(st.tuples(
+        st.integers(0, 40), st.floats(0.0, 100.0), st.floats(0.5, 40.0)),
+        min_size=1, max_size=6)),
+    st.tuples(st.just("pacer"), st.integers(0, 1), st.floats(0.0, 5.0)),
+    st.tuples(st.just("register"), st.integers(0, 1),
+              st.text("amz", min_size=1, max_size=2)),
+), max_size=30)
+
+
+@settings(max_examples=150, deadline=None)
+@given(alpha=st.sampled_from([0.0, 0.5, 2.0, 3.7]), ops=_MEMO_OPS)
+def test_memoised_straggler_factors_match_a_fresh_selector(alpha, ops):
+    config = SelectorConfig(pacer_step=1.0, straggler_penalty=alpha)
+    shared = TrainingSelector(config)
+    stores = [MetaStore(preferred_duration=10.0) for _ in range(2)]
+    for s in stores:
+        for cid in ("b", "d", "f", "h"):
+            s.register_client(cid)
+    for op, which, arg in ops:
+        s = stores[which]
+        if op == "feedback":
+            r = s.advance_round()
+            ids = s.client_ids()
+            batch = {ids[i % len(ids)]: (u, d) for i, u, d in arg}
+            s.update_with_feedback(RoundFeedback(cid, u, d, r)
+                                   for cid, (u, d) in batch.items())
+        elif op == "pacer":
+            s.set_preferred_duration(s.preferred_duration + arg)
+        elif op == "register" and arg not in s.client_ids():
+            s.register_client(arg)
+        if s.round_index == 0:
+            continue
+        view, r = s.view(), s.round_index
+        got = shared.compute_breakdowns(view, r)
+        want = TrainingSelector(config).compute_breakdowns(view, r)
+        assert got.system_factor.tobytes() == want.system_factor.tobytes()
+        assert got.final.tobytes() == want.final.tobytes()
+        t_pref = view.preferred_duration
+        for i, row in enumerate(got.rows.tolist()):
+            duration = float(view.table.duration[row])
+            if duration > t_pref:
+                combined = float(got.stat[i] + got.staleness[i])
+                assert got.final[i] == system_penalty(combined, t_pref,
+                                                      duration, alpha)
+
+
+def test_shared_selector_under_threads_matches_a_fresh_selector():
+    # Threads alternate between views of equal length whose durations
+    # differ, so each call finds the memo of another view, or one being
+    # replaced.
+    config = SelectorConfig(pacer_step=1.0, straggler_penalty=2.0)
+    rng = np.random.default_rng(5)
+    views = [make_view([explored(f"c{i:03d}", utility=float(u), duration=float(d))
+                        for i, (u, d) in enumerate(zip(
+                            rng.uniform(0, 50, 300), rng.uniform(1, 30, 300)))])
+             for _ in range(4)]
+    want = [TrainingSelector(config).compute_breakdowns(v, 10).final.tobytes()
+            for v in views]
+    shared = TrainingSelector(config)
+    wrong: list[object] = []
+
+    def work(first: int) -> None:
+        try:
+            for i in range(first, first + 150):
+                got = shared.compute_breakdowns(views[i % 4], 10).final.tobytes()
+                if got != want[i % 4]:
+                    wrong.append(i)
+        except Exception as exc:  # reported by the assert below
+            wrong.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
 
 
 def test_breakdown_identity_with_fairness():
