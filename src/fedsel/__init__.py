@@ -10,9 +10,9 @@ from .testing import (Assignment, DeviationQuery, DistributionQuery,
                       estimate_participant_count, exact_milp, greedy_cover,
                       min_makespan_assignment, validate_assignment,
                       verify_bound_montecarlo)
-from .training import (SelectorConfig, TrainingSelector, UtilityBreakdown,
-                       clip_cap, exploration_fraction, gradient_norm_utility,
-                       pacer_tick, perturb_utilities, scheduled_pacer_tick,
+from .training import (SelectorConfig, TrainingSelector, clip_cap,
+                       exploration_fraction, gradient_norm_utility, pacer_tick,
+                       perturb_utilities, scheduled_pacer_tick,
                        staleness_bonus, statistical_utility, system_penalty)
 from .simulation import (POLICIES, RoundResult, TrainingSession, TrainRecord,
                          corrupt_clients, fairness_metrics)
@@ -27,7 +27,7 @@ __all__ = [
     "SelectorConfig", "SimWorld", "SizeGuardError", "StaleFeedbackError",
     "StoreView", "TableParseError", "TraceParseError", "TrainRecord",
     "TrainingSelector", "TrainingSession", "UnknownClientError",
-    "UtilityBreakdown", "apply_trace", "clip_cap",
+    "apply_trace", "clip_cap",
     "compile_representative_preference", "corrupt_clients",
     "estimate_participant_count", "exact_milp", "exploration_fraction",
     "fairness_metrics", "generate_population", "gradient_norm_utility",

@@ -8,7 +8,6 @@ differences come from selection alone.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -65,8 +64,6 @@ class RunSetup:
     seed: int
     k: int = CANONICAL_K
     rounds: int = CANONICAL_ROUNDS
-    fairness_weight: float = 0.0
-    noise_epsilon: float = 0.0
     corrupt_fraction: float | None = None
 
 
@@ -75,8 +72,6 @@ def run_fixed_rounds(setup: RunSetup, spec: PopulationSpec | None = None,
     """Run a policy for a fixed number of rounds and keep the full trace."""
     spec = spec or canonical_population_spec(setup.seed)
     config = config or canonical_selector_config()
-    config = dataclasses.replace(config, fairness_weight=setup.fairness_weight,
-                                 noise_epsilon=setup.noise_epsilon)
     world = generate_population(spec)
     if setup.corrupt_fraction:
         corrupt_clients(world, fraction=setup.corrupt_fraction,

@@ -81,10 +81,6 @@ class RoundResult:
     accuracy: float
     preferred_duration: float
 
-    @property
-    def mean_utility(self) -> float:
-        return float(np.mean(self.utilities)) if self.utilities else 0.0
-
 
 @dataclass(frozen=True)
 class TrainRecord:
@@ -123,7 +119,11 @@ class SessionCheckpoint:
 
 
 class TrainingSession:
-    """One policy driving federated rounds over a world."""
+    """One policy driving federated rounds over a world.
+
+    Under a selector policy, ``metrics_sink`` receives each selection's
+    per-client utility decomposition as a tab-separated table.
+    """
 
     learning_rate = 0.05
     lr_decay_rounds = 60.0
@@ -154,8 +154,11 @@ class TrainingSession:
         # The selector takes and gives world rows as store rows.
         self._check_rows(self.store.view().table.ids, FedselError)
 
-        self.selector = TrainingSelector(config, seed=seed,
-                                         metrics_sink=metrics_sink)
+        self.selector = TrainingSelector(config, seed=seed)
+        self.metrics_sink = metrics_sink
+        if metrics_sink is not None and rules.invite == "selector":
+            metrics_sink.write("round\tclient_id\tstat\tstaleness"
+                               "\tsystem_factor\tfairness\tfinal\n")
         self.weights = model.init_weights(world.class_count, world.feature_dim)
         self.wall_clock = 0.0
         self.selection_history: list[tuple[str, ...]] = []
@@ -196,11 +199,20 @@ class TrainingSession:
                 self.store.set_preferred_duration(new_t)
                 view = self.store.view()
         try:
-            selected, _ = self.selector.select_participants(
+            selected, downs = self.selector.select_participants(
                 view, self._want, round_index, candidates=available)
         except EmptySelectionError:
             logger.warning("round %d: no feasible clients, idle round", round_index)
             return available[:0]
+        if self.metrics_sink is not None:
+            ids = view.table.ids
+            for row, *values in zip(downs.rows.tolist(), downs.stat.tolist(),
+                                    downs.staleness.tolist(),
+                                    downs.system_factor.tolist(),
+                                    downs.fairness.tolist(),
+                                    downs.final.tolist()):
+                cells = "".join(f"\t{v:.6g}" for v in values)
+                self.metrics_sink.write(f"{round_index}\t{ids[row]}{cells}\n")
         return np.fromiter(map(view.slots.__getitem__, selected), np.intp,
                            len(selected))
 
@@ -403,6 +415,7 @@ def write_metrics_table(path: str, record: TrainRecord) -> None:
         clock = 0.0
         for r in record.rounds:
             clock += r.wall_time
+            mean_utility = float(np.mean(r.utilities)) if r.utilities else 0.0
             fh.write(f"{r.round_index}\t{clock:.6f}\t{r.accuracy:.6f}"
-                     f"\t{r.mean_utility:.6f}\t{r.preferred_duration:.6f}"
+                     f"\t{mean_utility:.6f}\t{r.preferred_duration:.6f}"
                      f"\t{len(r.completers)}\n")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import repeat
-from typing import TYPE_CHECKING, Iterable, Sequence, TextIO
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
@@ -28,8 +28,8 @@ _STREAM_NOISE = 0
 _STREAM_EXPLOIT = 1
 _STREAM_EXPLORE = 2
 
-# Who may be selected: client ids, rows of the view's table, a bool mask over
-# those rows, or None for every client.
+# Who may be selected: client ids, an integer array of rows of the view's
+# table, or None for every client.
 Candidates = Iterable[str] | np.ndarray | None
 
 
@@ -66,32 +66,20 @@ class SelectorConfig:
             raise ValueError("exploration_floor must be >= 0")
         if self.straggler_penalty < 0.0:
             raise ValueError("straggler_penalty must be >= 0")
-        if self.pacer_window < 1:
-            raise ValueError("pacer_window must be >= 1")
+        for name in ("pacer_window", "blacklist_threshold"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         if not 0.0 < self.cutoff_confidence <= 100.0:
             raise ValueError("cutoff_confidence must be in (0, 100]")
         if not 0.0 < self.clip_percentile <= 100.0:
             raise ValueError("clip_percentile must be in (0, 100]")
-        if self.blacklist_threshold < 1:
-            raise ValueError("blacklist_threshold must be >= 1")
         if not 0.0 <= self.fairness_weight <= 1.0:
             raise ValueError("fairness_weight must be in [0, 1]")
         if self.utility_mode not in UTILITY_MODES:
             raise ValueError(f"utility_mode must be one of {UTILITY_MODES}")
         if self.noise_epsilon < 0.0:
             raise ValueError("noise_epsilon must be >= 0")
-
-
-@dataclass(frozen=True)
-class UtilityBreakdown:
-    """Per-client utility decomposition for one selection round."""
-
-    client_id: str
-    stat_component: float
-    staleness_bonus: float
-    system_factor: float
-    fairness_component: float
-    final_utility: float
 
 
 def statistical_utility(sample_losses: Sequence[float]) -> float:
@@ -290,44 +278,27 @@ def _smallest(items: np.ndarray, keys: np.ndarray, k: int) -> np.ndarray:
     return items[np.argsort(keys, kind="stable")]
 
 
-class Breakdowns(Sequence[UtilityBreakdown]):
-    """Utility decomposition of explored clients, one row each in client-id order.
+@dataclass(frozen=True, eq=False)
+class Breakdowns:
+    """Utility decomposition of explored clients, in client-id order.
 
-    Backed by arrays; a :class:`UtilityBreakdown` is built only when a row is
-    read. ``rows`` are the clients' rows in the view's table; ``pool`` holds
-    the rows of every eligible client, explored or not, that the breakdown
-    was computed over.
+    Read-only arrays with one entry per explored client; ``rows`` are those
+    clients' rows in the view's table, so ``view.table.ids[row]`` names
+    them. ``pool`` holds the rows of every eligible client, explored or not,
+    that the breakdown was computed over.
     """
 
-    def __init__(self, ids: Sequence[str], pool: np.ndarray, rows: np.ndarray,
-                 stat: np.ndarray, staleness: np.ndarray,
-                 system_factor: np.ndarray, fairness: np.ndarray,
-                 final: np.ndarray):
-        for col in (pool, rows, stat, staleness, system_factor, fairness, final):
+    pool: np.ndarray
+    rows: np.ndarray
+    stat: np.ndarray
+    staleness: np.ndarray
+    system_factor: np.ndarray
+    fairness: np.ndarray
+    final: np.ndarray
+
+    def __post_init__(self):
+        for col in vars(self).values():
             col.setflags(write=False)
-        self.ids = ids
-        self.pool = pool
-        self.rows = rows
-        self.stat = stat
-        self.staleness = staleness
-        self.system_factor = system_factor
-        self.fairness = fairness
-        self.final = final
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
-        return UtilityBreakdown(
-            client_id=self.ids[self.rows[i]],
-            stat_component=float(self.stat[i]),
-            staleness_bonus=float(self.staleness[i]),
-            system_factor=float(self.system_factor[i]),
-            fairness_component=float(self.fairness[i]),
-            final_utility=float(self.final[i]),
-        )
 
 
 class TrainingSelector:
@@ -339,12 +310,9 @@ class TrainingSelector:
     duration values it was computed from.
     """
 
-    def __init__(self, config: SelectorConfig, seed: int = 0,
-                 metrics_sink: TextIO | None = None):
+    def __init__(self, config: SelectorConfig, seed: int = 0):
         self.config = config
         self.seed = seed
-        self.metrics_sink = metrics_sink
-        self._sink_header_written = False
         # (T, alpha, durations, factors) of the last _straggler_factors call.
         self._straggler_memo: tuple[float, float, np.ndarray, np.ndarray] | None = None
 
@@ -361,8 +329,7 @@ class TrainingSelector:
         stat = table.stat_utility[rows]
         if not rows.size:
             empty = np.zeros(0)
-            return Breakdowns(table.ids, pool, rows, empty, empty, empty,
-                              empty, empty)
+            return Breakdowns(pool, rows, empty, empty, empty, empty, empty)
 
         last = table.last_round[rows]
         if round_index < 1:
@@ -396,8 +363,7 @@ class TrainingSelector:
             fairness = raw * scale
 
         final = (1.0 - f) * with_sys + f * fairness
-        return Breakdowns(table.ids, pool, rows, stat, stale, factor, fairness,
-                          final)
+        return Breakdowns(pool, rows, stat, stale, factor, fairness, final)
 
     def select_participants(self, view: "StoreView", k: int, round_index: int,
                             candidates: Candidates = None,
@@ -411,9 +377,9 @@ class TrainingSelector:
         the selection reaches min(k, feasible).
 
         ``candidates`` limits the pool to some clients: client ids (repeats
-        count once, unknown ids are skipped), an integer array of rows of
-        ``view.table``, or a bool mask over those rows. ``None`` means every
-        client. Blacklisted clients are never eligible.
+        count once, unknown ids are skipped) or an integer array of rows of
+        ``view.table``. ``None`` means every client. Blacklisted clients are
+        never eligible.
         """
         if k < 1:
             raise ValueError("k must be >= 1")
@@ -465,7 +431,6 @@ class TrainingSelector:
 
         if not selected:
             raise EmptySelectionError("no feasible clients to select from")
-        self._emit(round_index, breakdowns)
         return [table.ids[row] for row in selected], breakdowns
 
     # -- internals ---------------------------------------------------------
@@ -508,12 +473,10 @@ class TrainingSelector:
         n = len(table)
         if candidates is None:
             return np.flatnonzero(~table.blacklisted)
-        kind = candidates.dtype.kind if isinstance(candidates, np.ndarray) else "O"
-        if kind == "b":
-            if candidates.shape != (n,):
-                raise ValueError("a candidate mask needs one entry per client")
-            return np.flatnonzero(candidates & ~table.blacklisted)
-        if kind in "iu":
+        if isinstance(candidates, np.ndarray):
+            if candidates.dtype.kind not in "iu":
+                raise ValueError("candidates must be client ids or an integer "
+                                 "array of rows")
             rows = candidates
             if rows.ndim != 1 or (rows.size and not 0 <= rows.min()
                                   <= rows.max() < n):
@@ -553,17 +516,3 @@ class TrainingSelector:
         w = hints if np.all(hints > 0) else np.ones(pool.size)
         return [int(row) for row in
                 weighted_sample_without_replacement(rng, pool, w, k)]
-
-    def _emit(self, round_index: int, breakdowns: Breakdowns) -> None:
-        if self.metrics_sink is None:
-            return
-        if not self._sink_header_written:
-            self.metrics_sink.write(
-                "round\tclient_id\tstat\tstaleness\tsystem_factor"
-                "\tfairness\tfinal\n")
-            self._sink_header_written = True
-        for b in breakdowns:
-            self.metrics_sink.write(
-                f"{round_index}\t{b.client_id}\t{b.stat_component:.6g}"
-                f"\t{b.staleness_bonus:.6g}\t{b.system_factor:.6g}"
-                f"\t{b.fairness_component:.6g}\t{b.final_utility:.6g}\n")

@@ -163,8 +163,9 @@ def test_criterion_5_noise_tolerance(clean_runs, targets):
     all_reached = True
     for seed in SEEDS:
         rec = run_fixed_rounds(RunSetup(policy="guided", seed=seed,
-                                        rounds=STABLE_HORIZON,
-                                        noise_epsilon=5.0))
+                                        rounds=STABLE_HORIZON),
+                               config=canonical_selector_config(
+                                   noise_epsilon=5.0))
         tta = time_to_accuracy(rec, targets[seed])
         if tta is None:
             all_reached = False
@@ -188,8 +189,9 @@ def test_criterion_6_fairness_knob(clean_runs, targets):
     for seed in SEEDS:
         for f in (0.0, 0.5, 1.0):
             rec = run_fixed_rounds(RunSetup(policy="guided", seed=seed,
-                                            rounds=STABLE_HORIZON,
-                                            fairness_weight=f))
+                                            rounds=STABLE_HORIZON),
+                                   config=canonical_selector_config(
+                                       fairness_weight=f))
             history = [r.completers for r in rec.rounds]
             counts: dict[str, int] = {}
             for completers in history:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import math
@@ -76,6 +77,26 @@ def test_simulate_train_idempotent_outputs(runner, tmp_path):
     assert first == second
 
 
+def test_simulate_train_verbose_tables_digest(runner, tmp_path):
+    # Pins every byte of the per-client utility tables and the run tables
+    # over eight rounds, none of which reaches the target.
+    cfg = tiny_run_config(tmp_path, target=0.99, max_rounds=8,
+                          selector={"pacer_step": 5.0, "pacer_window": 3,
+                                    "fairness_weight": 0.2})
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["simulate-train", "--config", cfg,
+                                  "--out", str(out), "--verbose"])
+    assert result.exit_code == 0, result.output
+    tables = sorted([*out.glob("utilities_*.tsv"), *out.glob("run_*.tsv")])
+    assert len(tables) == 8
+    digest = hashlib.sha256()
+    for table in tables:
+        digest.update(f"{table.name}\n".encode())
+        digest.update(table.read_bytes())
+    assert digest.hexdigest() == (
+        "4a77b02cba4822301b4132883c74b1c89171d7139b0c76fc90507866b3866142")
+
+
 def test_simulate_train_max_rounds_zero_reports_not_reached(runner, tmp_path):
     cfg = tiny_run_config(tmp_path, max_rounds=0, target=0.99)
     out = tmp_path / "out"
@@ -119,10 +140,16 @@ def test_simulate_train_missing_config_key(runner, tmp_path):
     ({"max_rounds": -1}, "max_rounds must be an integer"),
     # An int path would be opened as a file descriptor.
     ({"trace_path": 987654}, "trace_path must be a string"),
+    # A fractional window would pass the range check and crash the pacer.
+    ({"selector": {"pacer_step": 5.0, "pacer_window": 2.5}},
+     "pacer_window must be an integer"),
+    ({"selector": {"pacer_step": 5.0, "blacklist_threshold": 2.5}},
+     "blacklist_threshold must be an integer"),
 ], ids=["unknown_policy", "unknown_selector_key", "string_seed", "nan_selector",
         "missing_trace", "string_k", "bool_k", "string_target", "bool_target",
         "string_max_rounds", "bool_max_rounds", "negative_max_rounds",
-        "int_trace_path"])
+        "int_trace_path", "fractional_pacer_window",
+        "fractional_blacklist_threshold"])
 def test_simulate_train_rejects_bad_run_config(runner, tmp_path, overrides,
                                                message):
     cfg = tiny_run_config(tmp_path, **overrides)
@@ -131,6 +158,7 @@ def test_simulate_train_rejects_bad_run_config(runner, tmp_path, overrides,
     assert result.exit_code == 2, result.output
     assert isinstance(result.exception, SystemExit)
     assert message in result.output
+    assert not list(tmp_path.glob("**/run_*.tsv"))
 
 
 @pytest.mark.parametrize("text, message", [

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from fedsel import experiments
 from fedsel.experiments import (RunSetup, canonical_population_spec,
                                 canonical_selector_config, run_fixed_rounds,
                                 summarize, time_to_accuracy,
@@ -79,11 +80,30 @@ def test_run_fixed_rounds_applies_noise_and_fairness():
     cfg = canonical_selector_config(pacer_window=3)
     base = run_fixed_rounds(RunSetup(policy="guided", seed=0, k=4, rounds=6),
                             spec=spec, config=cfg)
-    noisy = run_fixed_rounds(RunSetup(policy="guided", seed=0, k=4, rounds=6,
-                                      noise_epsilon=2.0),
-                             spec=spec, config=cfg)
+    noisy = run_fixed_rounds(RunSetup(policy="guided", seed=0, k=4, rounds=6),
+                             spec=spec,
+                             config=canonical_selector_config(
+                                 pacer_window=3, noise_epsilon=2.0))
     completers = lambda rec: [r.completers for r in rec.rounds]
     assert completers(base) != completers(noisy)
+
+
+def test_run_fixed_rounds_runs_the_config_as_given(monkeypatch):
+    # The run setup holds no selector setting, so the config is run as given.
+    sessions = []
+
+    class Recorded(TrainingSession):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            sessions.append(self)
+
+    monkeypatch.setattr(experiments, "TrainingSession", Recorded)
+    spec = canonical_population_spec(0, client_count=40, test_samples=200)
+    cfg = canonical_selector_config(pacer_window=3, fairness_weight=0.5,
+                                    noise_epsilon=0.3)
+    run_fixed_rounds(RunSetup(policy="guided", seed=0, k=4, rounds=1),
+                     spec=spec, config=cfg)
+    assert [s.selector.config for s in sessions] == [cfg]
 
 
 def test_fixed_rounds_and_unreached_target_build_the_same_record():

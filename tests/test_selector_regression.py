@@ -55,11 +55,13 @@ def golden_digest(seed: int = 7, **overrides) -> str:
         draw = np.random.default_rng([seed, r, 2])
         mask = draw.random(GOLDEN_CLIENTS) < 0.9
         candidates = [ids[i] for i in np.flatnonzero(mask)]
+        view = store.view()
         picks, breakdowns = selector.select_participants(
-            store.view(), GOLDEN_K, r, candidates=candidates)
+            view, GOLDEN_K, r, candidates=candidates)
         digest.update(f"{r}:{','.join(picks)}\n".encode())
-        digest.update("".join(f"{b.client_id}={b.final_utility!r};"
-                              for b in breakdowns).encode())
+        digest.update("".join(
+            f"{view.table.ids[row]}={final!r};" for row, final in zip(
+                breakdowns.rows.tolist(), breakdowns.final.tolist())).encode())
         values = draw.uniform(0.0, 50.0, len(picks))
         store.update_with_feedback(
             RoundFeedback(cid, float(v), float(durations[int(cid[1:])]), r)
@@ -150,22 +152,20 @@ def test_candidate_rows_and_masks_select_as_their_ids(n, explored, rounds,
     ids = data.draw(st.permutations(
         [view.table.ids[row] for row in rows]
         + data.draw(st.lists(st.sampled_from(["zz", "c999", "", "c00"])))))
-    mask = np.zeros(n, dtype=bool)
-    mask[rows] = True
     cfg = canonical_selector_config(fairness_weight=fairness,
                                     noise_epsilon=noise)
     r = store.round_index + 1
     outcomes = []
-    for candidates in (ids, np.array(rows, dtype=np.intp), mask):
+    for candidates in (ids, np.array(rows, dtype=np.intp)):
         try:
             picks, downs = TrainingSelector(cfg, seed=seed).select_participants(
                 view, k, r, candidates=candidates)
         except EmptySelectionError:
             outcomes.append(None)
         else:
-            outcomes.append((picks, list(downs), downs.pool.tolist()))
+            columns = [col.tolist() for col in vars(downs).values()]
+            outcomes.append((picks, columns))
     assert outcomes[1] == outcomes[0]
-    assert outcomes[2] == outcomes[0]
 
 
 # -- array forms against their scalar references -------------------------------------
@@ -252,18 +252,19 @@ def test_breakdowns_equal_the_scalar_formulas_exactly(fairness):
     cfg = canonical_selector_config(fairness_weight=fairness,
                                     straggler_penalty=alpha)
     downs = TrainingSelector(cfg).compute_breakdowns(view, round_index)
-    assert [b.client_id for b in downs] == list(ids)
+    assert [ids[row] for row in downs.rows.tolist()] == list(ids)
     bases = []
-    for u, lr, d, b in zip(utility.tolist(), last_round.tolist(),
-                           duration.tolist(), downs):
+    for u, lr, d, got_stale, got_factor in zip(
+            utility.tolist(), last_round.tolist(), duration.tolist(),
+            downs.staleness.tolist(), downs.system_factor.tolist()):
         stale = staleness_bonus(round_index, lr)
         base = system_penalty(u + stale, t_pref, d, alpha)
-        assert b.staleness_bonus == stale
-        assert b.system_factor == base / (u + stale)
+        assert got_stale == stale
+        assert got_factor == base / (u + stale)
         bases.append(base)
     max_sel = int(times.max())
     raw = [float(max_sel - t) for t in times.tolist()]
     scale = max(bases) / max(raw)
-    for b, base, r in zip(downs, bases, raw):
+    for final, base, r in zip(downs.final.tolist(), bases, raw):
         fair = r * scale if fairness > 0 else 0.0
-        assert b.final_utility == (1.0 - fairness) * base + fairness * fair
+        assert final == (1.0 - fairness) * base + fairness * fair

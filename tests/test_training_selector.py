@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import math
 import sys
 import threading
@@ -12,8 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedsel.errors import EmptySelectionError
+from fedsel.experiments import canonical_population_spec
 from fedsel.metastore import (ClientTable, MetaStore, RoundFeedback,
                               StoreView)
+from fedsel.simulation import TrainingSession
 from fedsel.training import (SelectorConfig, TrainingSelector, clip_cap,
                              exploration_fraction, gradient_norm_utility,
                              aggregate_statistical_utility, pacer_tick,
@@ -21,6 +24,7 @@ from fedsel.training import (SelectorConfig, TrainingSelector, clip_cap,
                              staleness_bonus, statistical_utility,
                              system_penalty,
                              weighted_sample_without_replacement)
+from fedsel.workload import generate_population
 
 REL = 1e-4
 
@@ -50,6 +54,11 @@ def explored(cid: str, utility: float, duration: float = 5.0,
 
 def fresh(cid: str, speed: float | None = 1.0) -> dict:
     return dict(client_id=cid, speed_hint=math.nan if speed is None else speed)
+
+
+def ids_of(view: StoreView, downs) -> list[str]:
+    """The client ids of a breakdown's rows."""
+    return [view.table.ids[row] for row in downs.rows.tolist()]
 
 
 # -- statistical utility -------------------------------------------------------
@@ -244,6 +253,14 @@ def test_non_finite_config_value_rejected(field, value):
         SelectorConfig(**{"pacer_step": 10.0, field: value})
 
 
+@pytest.mark.parametrize("field", ["pacer_window", "blacklist_threshold"])
+@pytest.mark.parametrize("value", [2.5, True], ids=["fraction", "bool"])
+def test_fractional_or_bool_count_config_value_rejected(field, value):
+    # A fractional window would pass the range check and crash the pacer.
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        SelectorConfig(**{"pacer_step": 10.0, field: value})
+
+
 # -- weighted sampling ----------------------------------------------------------------
 
 def test_weighted_sampling_no_duplicates_and_bounded():
@@ -380,16 +397,15 @@ def test_breakdown_identity_and_components():
     rec_slow = explored("slow", utility=6.0, duration=20.0, last_round=10)
     view = make_view([rec_fast, rec_slow], preferred_duration=10.0)
     sel = selector(straggler_penalty=2.0)
-    downs = {b.client_id: b for b in sel.compute_breakdowns(view, 10)}
-    fast, slow = downs["fast"], downs["slow"]
-    assert fast.system_factor == pytest.approx(1.0)
-    assert slow.system_factor == pytest.approx(0.25, rel=REL)
-    for b in (fast, slow):
-        expect = ((1 - 0.0) * (b.stat_component + b.staleness_bonus)
-                  * b.system_factor) + 0.0 * b.fairness_component
-        assert b.final_utility == pytest.approx(expect, rel=1e-12)
-        assert b.final_utility >= 0
-        assert math.isfinite(b.final_utility)
+    downs = sel.compute_breakdowns(view, 10)
+    assert ids_of(view, downs) == ["fast", "slow"]
+    assert downs.system_factor[0] == pytest.approx(1.0)
+    assert downs.system_factor[1] == pytest.approx(0.25, rel=REL)
+    expect = ((1 - 0.0) * (downs.stat + downs.staleness)
+              * downs.system_factor) + 0.0 * downs.fairness
+    assert downs.final == pytest.approx(expect, rel=1e-12)
+    assert np.all(downs.final >= 0)
+    assert np.all(np.isfinite(downs.final))
 
 
 # Interleaved feedback, pacer steps and registrations on two stores that
@@ -485,11 +501,12 @@ def test_breakdown_identity_with_fairness():
                for i in range(6)]
     view = make_view(records)
     sel = selector(fairness_weight=0.4)
-    for b in sel.compute_breakdowns(view, 12):
-        expect = (0.6 * (b.stat_component + b.staleness_bonus) * b.system_factor
-                  + 0.4 * b.fairness_component)
-        assert b.final_utility == pytest.approx(expect, rel=1e-12)
-        assert b.fairness_component >= 0
+    downs = sel.compute_breakdowns(view, 12)
+    assert downs.rows.size == 6
+    expect = (0.6 * (downs.stat + downs.staleness) * downs.system_factor
+              + 0.4 * downs.fairness)
+    assert downs.final == pytest.approx(expect, rel=1e-12)
+    assert np.all(downs.fairness >= 0)
 
 
 def test_fairness_one_prefers_least_selected():
@@ -515,11 +532,13 @@ def test_argmax_invariance_under_common_scaling():
                        last_round=10) for i in range(15)]
     # no staleness asymmetry: same last_round; R chosen so bonus is common
     sel = selector(exploration_factor=0.0, seed=11)
-    picked_a, downs_a = sel.select_participants(make_view(base, round_index=10), 6, 10)
-    picked_b, downs_b = sel.select_participants(make_view(scaled, round_index=10), 6, 10)
+    view_a = make_view(base, round_index=10)
+    view_b = make_view(scaled, round_index=10)
+    picked_a, downs_a = sel.select_participants(view_a, 6, 10)
+    picked_b, downs_b = sel.select_participants(view_b, 6, 10)
     # staleness bonus is additive and unscaled, so exclude it by comparing the
     # admitted pools through stat-dominated utilities where bonus is negligible
-    assert {b.client_id for b in downs_a} == {b.client_id for b in downs_b}
+    assert set(ids_of(view_a, downs_a)) == set(ids_of(view_b, downs_b))
 
 
 def test_argmax_invariance_exact_when_bonus_zero():
@@ -542,7 +561,7 @@ def test_system_blind_mode_ranks_by_stat_plus_staleness():
     view = make_view(records, round_index=5, preferred_duration=1.0)
     sel = selector(straggler_penalty=0.0, exploration_factor=0.0)
     downs = sel.compute_breakdowns(view, 5)
-    finals = {b.client_id: b.final_utility for b in downs}
+    finals = dict(zip(ids_of(view, downs), downs.final.tolist()))
     expected = {r["client_id"]: r["stat_utility"] + staleness_bonus(5, 5)
                 for r in records}
     for cid in finals:
@@ -571,8 +590,8 @@ def test_staleness_grows_while_unselected():
     rec = explored("e0", utility=5.0, last_round=10)
     sel = selector()
     view = make_view([rec])
-    u_now = sel.compute_breakdowns(view, 10)[0].final_utility
-    u_later = sel.compute_breakdowns(view, 25)[0].final_utility
+    u_now = sel.compute_breakdowns(view, 10).final[0]
+    u_later = sel.compute_breakdowns(view, 25).final[0]
     assert u_later > u_now
 
 
@@ -599,17 +618,22 @@ def test_noised_sampling_weights_stay_nonnegative_and_select():
     assert len(picked) == 5
 
 
-def test_metrics_sink_rows(tmp_path):
-    import io
+def test_metrics_sink_rows():
+    # Every client is available, so round 2 breaks down the 5 clients that
+    # completed round 1, the only explored ones; round 1 has no rows.
     sink = io.StringIO()
-    records = [explored(f"e{i}", utility=float(i + 1)) for i in range(5)]
-    view = make_view(records)
-    sel = TrainingSelector(SelectorConfig(pacer_step=10.0), seed=0,
-                           metrics_sink=sink)
-    sel.select_participants(view, 3, round_index=4)
+    world = generate_population(canonical_population_spec(
+        0, client_count=40, test_samples=200))
+    world.availability[:] = 1.0
+    session = TrainingSession(world, "guided", SelectorConfig(pacer_step=10.0),
+                              k=5, seed=0, metrics_sink=sink)
+    first, _ = session.run_rounds(2)
     lines = sink.getvalue().strip().splitlines()
     assert lines[0].startswith("round\tclient_id")
     assert len(lines) == 1 + 5
+    rows = [line.split("\t") for line in lines[1:]]
+    assert all(len(cells) == 7 and cells[0] == "2" for cells in rows)
+    assert [cells[1] for cells in rows] == sorted(first.completers)
 
 
 def test_repeated_candidates_give_distinct_picks():
@@ -623,13 +647,16 @@ def test_repeated_candidates_give_distinct_picks():
 def test_repeated_candidates_give_one_breakdown_each():
     view = make_view([explored(c, utility=3.0) for c in "abc"])
     downs = selector().compute_breakdowns(view, 2, candidates=["c", "a", "c"])
-    assert [b.client_id for b in downs] == ["a", "c"]
+    assert ids_of(view, downs) == ["a", "c"]
 
 
+# Arrays other than integer rows are rejected: a mask read as ids would
+# match no client and leave the round idle.
 @pytest.mark.parametrize("candidates", [
     np.array([0, 3]), np.array([-1, 0]), np.array([[0, 1]]),
-    np.ones(2, dtype=bool), np.ones((1, 3), dtype=bool),
-], ids=["row_past_end", "negative_row", "rows_2d", "short_mask", "mask_2d"])
+    np.ones(3, dtype=bool), np.array([0.0, 1.0]), np.array(["a", "b"]),
+], ids=["row_past_end", "negative_row", "rows_2d", "bool_mask", "float_rows",
+        "id_array"])
 def test_candidate_rows_and_masks_must_fit_the_view(candidates):
     view = make_view([fresh(c) for c in "abc"])
     with pytest.raises(ValueError, match="candidate"):
