@@ -61,48 +61,59 @@ def accuracy(weights: np.ndarray, features: np.ndarray,
 
 def local_epoch(weights: np.ndarray, features: np.ndarray, labels: np.ndarray,
                 sizes: Sequence[int], learning_rate: float, batch_size: int,
-                rngs: Sequence[np.random.Generator],
-                ) -> tuple[np.ndarray, np.ndarray, list[list[float]]]:
+                starts: Sequence[int], orders: Sequence[np.ndarray],
+                norms: bool = False,
+                ) -> tuple[np.ndarray, np.ndarray, list[list[float]] | None]:
     """One epoch of minibatch gradient descent for each of K clients, all
     starting from ``weights``.
 
-    ``features`` and ``labels`` are the K clients' shards concatenated in
-    order, ``sizes`` their row counts, and ``rngs[i]`` permutes client i's
-    shard. Each client runs the epoch it would run alone; the K epochs advance
-    together, one stacked step per batch index over the clients that still
-    have a batch, which is a prefix once clients are sorted by batch count.
+    Client i's shard is rows ``starts[i]:starts[i] + sizes[i]`` of
+    ``features`` and ``labels``, and ``orders[i]``, a permutation of
+    ``range(sizes[i])``, is the order its epoch visits them in. Each client
+    runs the epoch it would run alone; the K epochs advance together, one
+    stacked step per batch index over the clients that still have a batch,
+    which is a prefix once clients are sorted by batch count.
 
-    Returns the (K, classes, features+1) stack of updated weights, the
-    per-sample training losses observed as each minibatch was processed
-    (aligned with ``labels``), and each client's squared update norm of every
-    batch step (the alternative utility signal).
+    Returns the (K, classes, features+1) stack of updated weights and the
+    per-sample training losses observed as each minibatch was processed, for
+    the K shards laid end to end in order. Under ``norms`` it also returns
+    each client's squared update norm of every batch step (the alternative
+    utility signal); otherwise None.
     """
-    sizes = np.asarray(sizes)
-    _check_epoch(features, labels, sizes, learning_rate, batch_size, rngs)
+    sizes, starts = np.asarray(sizes), np.asarray(starts)
+    perm = _check_epoch(features, labels, sizes, learning_rate, batch_size,
+                        starts, orders)
     offsets = np.cumsum(sizes) - sizes
     batches = -(-sizes // batch_size)
     by_batches = np.argsort(-batches, kind="stable")
+    back = np.argsort(by_batches)
     sizes_sorted = sizes[by_batches]
     steps = int(batches.max())
+    width = steps * batch_size
 
-    # Row of every (client, batch slot) in the concatenated shards; a partial
-    # last batch is padded with the client's first row and masked.
-    rows = np.empty((sizes.size, steps * batch_size), dtype=np.intp)
-    for lane, i in enumerate(by_batches):
-        rows[lane, :sizes[i]] = rngs[i].permutation(sizes[i]) + offsets[i]
-        rows[lane, sizes[i]:] = offsets[i]
-    live_counts = (batches[:, None] > np.arange(steps)).sum(axis=0)
+    # Position of every (lane, batch slot) in the K shards laid end to end; a
+    # partial last batch is padded with the client's first sample and masked.
+    pos = np.repeat(offsets[by_batches], width).reshape(sizes.size, width)
+    spread = np.repeat(offsets, sizes)
+    pos[np.repeat(back, sizes), np.arange(perm.size) - spread] = perm + spread
+    # The live lanes' slots of every step, step after step, and their rows in
+    # ``features``, gathered once.
+    active = batches[by_batches] > np.arange(steps)[:, None]
+    live_counts = active.sum(axis=1)
+    pos = pos.reshape(sizes.size, steps, batch_size).transpose(1, 0, 2)[active]
+    rows = pos + (starts - offsets)[by_batches][np.nonzero(active)[1], None]
+    all_fx, all_fy = features.take(rows, axis=0), labels.take(rows)
 
     w = np.repeat(weights[None], sizes.size, axis=0)
-    losses = np.empty(labels.size)
-    sq_norms = np.empty((sizes.size, steps))
+    losses = np.empty(perm.size)
+    sq_norms = np.empty((sizes.size, steps)) if norms else None
     slots = np.arange(batch_size)
     # Where each (lane, slot)'s class row starts in a step's flat log-probs.
     cells = np.arange(sizes.size * batch_size) * weights.shape[0]
-    for s, live in enumerate(live_counts):
-        idx = rows[:live, s * batch_size:(s + 1) * batch_size]
-        # take copies the same rows as fancy indexing, faster.
-        fx, fy = features.take(idx, axis=0), labels.take(idx)
+    end = 0
+    for s, live in enumerate(live_counts.tolist()):
+        begin, end = end, end + live
+        idx, fx, fy = pos[begin:end], all_fx[begin:end], all_fy[begin:end]
         wl = w[:live]
         log_probs = _log_softmax(fx @ wl[:, :, :-1].transpose(0, 2, 1)
                                  + wl[:, None, :, -1])
@@ -121,14 +132,19 @@ def local_epoch(weights: np.ndarray, features: np.ndarray, labels: np.ndarray,
         step[:, :, -1] = probs.sum(axis=1) / counts
         step *= learning_rate
         wl -= step
-        sq_norms[:live, s] = (step * step).reshape(live, -1).sum(axis=1)
+        if norms:
+            sq_norms[:live, s] = (step * step).reshape(live, -1).sum(axis=1)
 
-    back = np.argsort(by_batches)
-    norms = sq_norms[back]
-    return w[back], losses, [row[:n].tolist() for row, n in zip(norms, batches)]
+    if not norms:
+        return w[back], losses, None
+    return w[back], losses, [row[:n].tolist()
+                             for row, n in zip(sq_norms[back], batches)]
 
 
-def _check_epoch(features, labels, sizes, learning_rate, batch_size, rngs):
+def _check_epoch(features, labels, sizes, learning_rate, batch_size, starts,
+                 orders) -> np.ndarray:
+    """Raise ValueError on a malformed epoch; return the orders laid end to
+    end."""
     if not (math.isfinite(learning_rate) and learning_rate > 0):
         raise ValueError("learning_rate must be finite and > 0")
     if not isinstance(batch_size, (int, np.integer)) or batch_size < 1:
@@ -139,7 +155,23 @@ def _check_epoch(features, labels, sizes, learning_rate, batch_size, rngs):
         raise ValueError("sizes must be a non-empty sequence of integers")
     if np.any(sizes < 1):
         raise ValueError("every shard needs at least one sample")
-    if int(sizes.sum()) != len(labels):
-        raise ValueError("sizes must sum to the number of samples")
-    if len(rngs) != sizes.size:
-        raise ValueError("need one rng per shard")
+    if starts.shape != sizes.shape or len(orders) != sizes.size:
+        raise ValueError("need one start and one order per shard")
+    if starts.dtype.kind not in "iu" or np.any(starts < 0) \
+            or np.any(starts + sizes > len(labels)):
+        raise ValueError("every shard's rows must lie within the arrays")
+    if any(len(order) != n for order, n in zip(orders, sizes.tolist())):
+        raise ValueError("every order must have its shard's size")
+    perm = np.concatenate(orders)
+    if perm.ndim != 1 or perm.dtype.kind not in "iu":
+        raise ValueError("orders must be sequences of integers")
+    # Each entry within its own shard, then every sample visited once.
+    offsets = np.cumsum(sizes) - sizes
+    seen = np.zeros(perm.size, dtype=bool)
+    if (np.all(np.minimum.reduceat(perm, offsets) >= 0)
+            and np.all(np.maximum.reduceat(perm, offsets) < sizes)):
+        seen[perm + np.repeat(offsets, sizes)] = True
+    if not seen.all():
+        raise ValueError("every order must be a permutation of its "
+                         "shard's rows")
+    return perm

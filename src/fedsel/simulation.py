@@ -23,7 +23,7 @@ from typing import TextIO
 
 import numpy as np
 
-from . import model
+from . import model, seeding
 from .errors import CheckpointError, EmptySelectionError, FedselError
 from .metastore import Checkpoint, MetaStore, RoundFeedback
 from .training import (SelectorConfig, TrainingSelector,
@@ -236,22 +236,22 @@ class TrainingSession:
         ranked = world.ids[invited[order]].tolist()
         completers = ranked[:self.k]
         first = order[:self.k]
-        rows, sizes, kept = (col[first].tolist()
-                             for col in (invited, counts, durations))
+        rows = invited[first]
+        sizes, kept = counts[first].tolist(), durations[first].tolist()
 
         wall = 0.0
         utilities: list[float] = []
         if completers:
-            shards = [world.shard(row) for row in rows]
-            rngs = [np.random.default_rng(
-                        [self.seed, round_index, _STREAM_LOCAL, row])
-                    for row in rows]
+            # Row r's batch order is default_rng([seed, round, 5, r])'s
+            # permutation, made for all K rows at once.
+            orders = seeding.permutations(
+                [self.seed, round_index, _STREAM_LOCAL], rows, sizes)
             lr = self.learning_rate / (1.0 + round_index / self.lr_decay_rounds)
+            by_norms = self.config.utility_mode == "gradient_norm_batches"
             models, losses, batch_norms = model.local_epoch(
-                self.weights, np.concatenate([f for f, _ in shards]),
-                np.concatenate([y for _, y in shards]), sizes, lr,
-                self.batch_size, rngs)
-            if self.config.utility_mode == "gradient_norm_batches":
+                self.weights, world.features, world.labels, sizes, lr,
+                self.batch_size, world.offsets[rows], orders, norms=by_norms)
+            if by_norms:
                 utilities = [gradient_norm_utility(n) for n in batch_norms]
             else:
                 utilities = _statistical_utilities(losses, sizes)

@@ -16,13 +16,13 @@ from fedsel.workload import generate_population
 from loss_oracles import log_softmax, mean_loss, per_sample_losses
 
 
-def reference_epoch(weights, features, labels, learning_rate, batch_size, rng):
+def reference_epoch(weights, features, labels, learning_rate, batch_size,
+                    order):
     """One client's epoch, as the per-client loop ``model.local_epoch`` replaced."""
     n = labels.size
     w = weights.copy()
     losses = np.empty(n)
     batch_sq_norms: list[float] = []
-    order = rng.permutation(n)
     for start in range(0, n, batch_size):
         idx = order[start:start + batch_size]
         fx, fy = features[idx], labels[idx]
@@ -34,12 +34,13 @@ def reference_epoch(weights, features, labels, learning_rate, batch_size, rng):
 
 
 def reference_local_epoch(weights, features, labels, sizes, learning_rate,
-                          batch_size, rngs):
-    """``model.local_epoch`` built on the loop, one client after another."""
-    bounds = np.cumsum(sizes)[:-1]
-    runs = [reference_epoch(weights, fx, fy, learning_rate, batch_size, rng)
-            for fx, fy, rng in zip(np.split(features, bounds),
-                                   np.split(labels, bounds), rngs)]
+                          batch_size, starts, orders, norms=False):
+    """``model.local_epoch`` built on the loop, one client after another; it
+    returns the norms whether asked or not."""
+    runs = [reference_epoch(weights, features[start:start + n],
+                            labels[start:start + n], learning_rate, batch_size,
+                            order)
+            for start, n, order in zip(starts, sizes, orders)]
     return (np.stack([w for w, _, _ in runs]),
             np.concatenate([losses for _, losses, _ in runs]),
             [norms for _, _, norms in runs])
@@ -107,9 +108,11 @@ def test_local_epoch_reduces_training_loss():
     for trial in range(5):
         weights, features, labels = random_problem(np.random.default_rng(trial))
         before = mean_loss(weights, features, labels)
+        order = rng.permutation(labels.size)
         (new_w,), _, _ = model.local_epoch(weights, features, labels,
                                            [labels.size], learning_rate=0.05,
-                                           batch_size=8, rngs=[rng])
+                                           batch_size=8, starts=[0],
+                                           orders=[order])
         after = mean_loss(new_w, features, labels)
         assert after <= before * (1 + 1e-6)
 
@@ -119,7 +122,8 @@ def test_local_epoch_reports_batch_norms_and_losses():
     weights, features, labels = random_problem(rng, n=20)
     (new_w,), losses, (norms,) = model.local_epoch(
         weights, features, labels, [20], learning_rate=0.1, batch_size=8,
-        rngs=[np.random.default_rng(0)])
+        starts=[0], orders=[np.random.default_rng(0).permutation(20)],
+        norms=True)
     assert losses.shape == (20,)
     assert len(norms) == 3  # ceil(20 / 8)
     assert all(v >= 0 for v in norms)
@@ -129,10 +133,11 @@ def test_local_epoch_reports_batch_norms_and_losses():
 def test_local_epoch_deterministic_in_rng():
     rng_data = np.random.default_rng(4)
     weights, features, labels = random_problem(rng_data)
-    a = model.local_epoch(weights, features, labels, [labels.size], 0.05, 8,
-                          [np.random.default_rng(9)])
-    b = model.local_epoch(weights, features, labels, [labels.size], 0.05, 8,
-                          [np.random.default_rng(9)])
+    n = labels.size
+    a = model.local_epoch(weights, features, labels, [n], 0.05, 8, [0],
+                          [np.random.default_rng(9).permutation(n)])
+    b = model.local_epoch(weights, features, labels, [n], 0.05, 8, [0],
+                          [np.random.default_rng(9).permutation(n)])
     assert np.array_equal(a[0], b[0])
     assert np.array_equal(a[1], b[1])
 
@@ -159,31 +164,48 @@ def ragged_groups(draw):
 def test_local_epoch_matches_the_per_client_loop(group):
     batch_size, sizes, seed = group
     rng = np.random.default_rng(seed)
-    weights, features, labels = random_problem(rng, n=sum(sizes))
+    # The shards lie in a larger array, in shuffled order with gaps between.
+    starts, end = [0] * len(sizes), 0
+    for i in rng.permutation(len(sizes)).tolist():
+        starts[i] = end + int(rng.integers(0, 3))
+        end = starts[i] + sizes[i]
+    weights, features, labels = random_problem(rng, n=end + 2)
     lr = float(rng.uniform(0.01, 0.5))
-
-    def rngs():
-        return [np.random.default_rng([seed, i]) for i in range(len(sizes))]
+    orders = [np.random.default_rng([seed, i]).permutation(n)
+              for i, n in enumerate(sizes)]
 
     got_w, got_losses, got_norms = model.local_epoch(
-        weights, features, labels, sizes, lr, batch_size, rngs())
+        weights, features, labels, sizes, lr, batch_size, starts, orders,
+        norms=True)
     ref_w, ref_losses, ref_norms = reference_local_epoch(
-        weights, features, labels, sizes, lr, batch_size, rngs())
+        weights, features, labels, sizes, lr, batch_size, starts, orders)
     assert_close(got_w, ref_w)
     assert_close(got_losses, ref_losses)
     assert [len(n) for n in got_norms] == [-(-n // batch_size) for n in sizes]
     for got, ref in zip(got_norms, ref_norms):
         assert_close(got, ref)
 
+    # Without the norms, the same weights and losses bit for bit, and no norms.
+    off_w, off_losses, off_norms = model.local_epoch(
+        weights, features, labels, sizes, lr, batch_size, starts, orders)
+    assert off_norms is None
+    assert np.array_equal(off_w.view(np.int64), got_w.view(np.int64))
+    assert np.array_equal(off_losses.view(np.int64), got_losses.view(np.int64))
+
 
 def _epoch_inputs(**changes):
     rng = np.random.default_rng(7)
     weights, features, labels = random_problem(rng, n=12)
     args = dict(weights=weights, features=features, labels=labels,
-                sizes=[5, 7], learning_rate=0.1, batch_size=4,
-                rngs=[np.random.default_rng(0), np.random.default_rng(1)])
+                sizes=[5, 7], learning_rate=0.1, batch_size=4, starts=[0, 5],
+                orders=[np.random.default_rng(0).permutation(5),
+                        np.random.default_rng(1).permutation(7)])
     args.update(changes)
     return args
+
+
+def _order(*entries):
+    return np.array(entries)
 
 
 @pytest.mark.parametrize("changes", [
@@ -195,18 +217,30 @@ def _epoch_inputs(**changes):
     dict(batch_size=-3),
     dict(labels=np.zeros(11, dtype=int), sizes=[5, 6]),
     dict(sizes=[5, 6]),
-    dict(sizes=[5, 8]),
-    dict(sizes=[12, 0], rngs=[np.random.default_rng(0)] * 2),
+    dict(sizes=[5, 8], orders=[_order(*range(5)), _order(*range(8))]),
+    dict(sizes=[12, 0], starts=[0, 12], orders=[_order(*range(12)), _order()]),
     dict(sizes=[13, -1]),
-    dict(sizes=[12], rngs=[np.random.default_rng(0)] * 2),
-    dict(rngs=[np.random.default_rng(0)]),
+    dict(sizes=[12], orders=[_order(*range(12))] * 2),
+    dict(orders=[_order(*range(5))]),
     dict(labels=np.zeros(0, dtype=int), features=np.zeros((0, 6)), sizes=[],
-         rngs=[]),
+         starts=[], orders=[]),
     dict(sizes=[5.0, 7.0]),
+    dict(orders=[_order(*range(5)), _order(*range(6))]),
+    dict(orders=[_order(*range(5)), _order(0, 1, 2, 3, 4, 5, 7)]),
+    dict(orders=[_order(*range(5)), _order(0, 1, 2, 3, 4, 5, -1)]),
+    dict(orders=[_order(*range(5)), _order(0, 1, 2, 3, 4, 5, 5)]),
+    dict(orders=[_order(*range(5)), np.arange(7.0)]),
+    dict(starts=[0, 6]),
+    dict(starts=[-1, 5]),
+    dict(starts=[0.0, 5.0]),
+    dict(starts=[0]),
+    dict(starts=[0, 5, 0]),
 ], ids=["nan_lr", "inf_lr", "zero_lr", "negative_lr", "zero_batch",
         "negative_batch", "rows_mismatch", "sizes_short", "sizes_long",
         "empty_shard", "negative_shard", "too_many_rngs", "too_few_rngs",
-        "no_shards", "float_sizes"])
+        "no_shards", "float_sizes", "order_wrong_length", "order_out_of_range",
+        "order_negative", "order_repeats", "float_order", "rows_past_arrays",
+        "negative_start", "float_starts", "too_few_starts", "too_many_starts"])
 def test_local_epoch_rejects_bad_input(changes):
     with pytest.raises(ValueError):
         model.local_epoch(**_epoch_inputs(**changes))

@@ -143,7 +143,8 @@ def test_aggregation_is_mean_of_completer_models():
         rng = np.random.default_rng([5, 1, 5, row])
         (new_w,), _, _ = model.local_epoch(start, features, labels,
                                            [labels.size], lr,
-                                           session.batch_size, [rng])
+                                           session.batch_size, [0],
+                                           [rng.permutation(labels.size)])
         locals_.append(new_w)
     expected = np.stack(locals_).mean(axis=0)
     scale = max(1.0, np.abs(expected).max())
@@ -387,12 +388,13 @@ def test_resumed_session_reports_same_fairness_as_uninterrupted():
 GOLDEN_ROUNDS = 8
 
 
-def golden_session(policy: str) -> TrainingSession:
+def golden_session(policy: str, **config) -> TrainingSession:
     return make_session(policy=policy, seed=9, k=5,
-                        config=SelectorConfig(pacer_step=1.0, pacer_window=2))
+                        config=SelectorConfig(pacer_step=1.0, pacer_window=2,
+                                              **config))
 
 
-def round_engine_digest(policy: str) -> str:
+def round_engine_digest(policy: str, **config) -> str:
     """Fold every RoundResult field, the final weights, the clock and the
     utility history of a short seeded run into one digest.
 
@@ -401,7 +403,7 @@ def round_engine_digest(policy: str) -> str:
     fires at round 11, so ``guided`` and ``guided_no_pacer`` share a digest
     here and :func:`test_pacer_steps_the_guided_session` tells them apart.
     """
-    session = golden_session(policy)
+    session = golden_session(policy, **config)
     digest = hashlib.sha256()
     for _ in range(GOLDEN_ROUNDS):
         r = session.run_round()
@@ -433,6 +435,17 @@ GOLDEN_ROUND_DIGESTS = {
 @pytest.mark.parametrize("policy", sorted(GOLDEN_ROUND_DIGESTS))
 def test_golden_round_engine_digest(policy):
     assert round_engine_digest(policy) == GOLDEN_ROUND_DIGESTS[policy]
+
+
+# The guided session under the utility built from every batch step's squared
+# update norm, the one path that reads the norms.
+GOLDEN_NORMS_DIGEST = (
+    "2af787b5cca9d0f7cb30a83dc474ffc485f4d48fab4b98787b82673ca672bd27")
+
+
+def test_golden_round_engine_digest_on_batch_norms():
+    assert (round_engine_digest("guided", utility_mode="gradient_norm_batches")
+            == GOLDEN_NORMS_DIGEST)
 
 
 def test_pacer_steps_the_guided_session():
