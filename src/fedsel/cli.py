@@ -20,7 +20,8 @@ import numpy as np
 from . import testing
 from .errors import BudgetExceededError, InfeasibleQueryError, SizeGuardError
 from .experiments import summarize, write_summary_table
-from .simulation import POLICIES, TrainingSession, write_metrics_table
+from .simulation import (POLICIES, POLICY_TABLE, TrainingSession,
+                         write_metrics_table)
 from .training import SelectorConfig
 from .workload import PopulationSpec, apply_trace, generate_population, load_trace
 
@@ -94,8 +95,10 @@ def simulate_train(config_path, policies, seeds, k, target, out_dir, verbose):
         world = generate_population(specs[seed])
         if unmatched := apply_trace(world, trace):
             click.echo(f"trace: {len(unmatched)} rows did not match any client")
+        # Only selector policies write utilities, so only they get a table.
         table = out / f"utilities_{policy}_seed{seed}.tsv"
-        with (open(table, "w", encoding="utf-8") if verbose
+        with (open(table, "w", encoding="utf-8")
+              if verbose and POLICY_TABLE[policy].invite == "selector"
               else contextlib.nullcontext()) as sink:
             session = TrainingSession(world, policy, selector, k, seed,
                                       metrics_sink=sink)

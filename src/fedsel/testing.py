@@ -27,6 +27,10 @@ _EXACT_MAX_CLIENTS, _EXACT_MAX_CATEGORIES = 20, 5
 # (speed, bandwidth, transfer_bytes) of a client missing from the client table.
 _DEFAULT_CLIENT = (10.0, 1e6, 1e6)
 _INT64_MAX = int(np.iinfo(np.int64).max)
+# A preference total must stay below this. Capacities are clipped to the
+# preference, so no cell or row total reaches it and the flow solver's int32
+# edges hold every count.
+_MAX_DEMAND = 2 ** 31
 # Most cells, clients x (largest category + 1), a capacity file may need in
 # its dense int64 matrix: 1 GiB. It admits 10^6 clients x 30 categories.
 _MAX_CAPACITY_CELLS = 2 ** 27
@@ -227,8 +231,9 @@ class DistributionQuery:
     """Preference-vector request over clients with known capacities.
 
     ``capacities[n][i]`` is how many category-``i`` samples client ``n`` can
-    contribute; ``speeds`` are samples/second, ``bandwidths`` bytes/second and
-    ``transfer_sizes`` bytes.
+    contribute; a count above the category's preference acts as that
+    preference. ``speeds`` are samples/second, ``bandwidths`` bytes/second
+    and ``transfer_sizes`` bytes. The preference total must be below 2^31.
     """
 
     client_ids: tuple[str, ...]
@@ -261,8 +266,12 @@ class DistributionQuery:
                 raise ValueError(f"{name} must be finite and nonnegative")
         if np.any(self.capacities < 0):
             raise ValueError("capacities must be nonnegative")
-        if np.any(self.preference < 0) or self.preference.sum() <= 0:
-            raise ValueError("preference must be nonnegative with a positive total")
+        # Each entry is bounded before the sum, so the sum cannot wrap.
+        pref = self.preference
+        if np.any((pref < 0) | (pref >= _MAX_DEMAND)) \
+                or not 0 < pref.sum() < _MAX_DEMAND:
+            raise ValueError(f"preference must be nonnegative with a total "
+                             f"in (0, {_MAX_DEMAND})")
         if self.budget < 1:
             raise ValueError("budget must be >= 1")
 
@@ -322,8 +331,8 @@ def compile_representative_preference(global_counts: Sequence[int],
     counts = np.asarray(global_counts, dtype=float)
     if np.any(counts < 0) or counts.sum() <= 0:
         raise ValueError("global_counts must be nonnegative with a positive total")
-    if total_samples < 1:
-        raise ValueError("total_samples must be >= 1")
+    if not 1 <= total_samples < _MAX_DEMAND:  # a preference total
+        raise ValueError(f"total_samples must be in [1, {_MAX_DEMAND})")
     shares = counts / counts.sum() * total_samples
     base = np.floor(shares).astype(np.int64)
     leftover = total_samples - int(base.sum())
@@ -423,7 +432,7 @@ def load_distribution_query(descriptor: dict, client_ids: list[str],
             raise ValueError("preference length does not match capacity categories")
     elif "representative_samples" in descriptor:
         preference = compile_representative_preference(
-            capacities.sum(axis=0),
+            capacities.sum(axis=0, dtype=float),  # int64 totals can wrap
             _int_at_least(descriptor["representative_samples"],
                           "representative_samples", 1))
     else:
@@ -503,12 +512,11 @@ def exact_milp(query: DistributionQuery) -> Assignment:
     chosen = _cover_within(row_caps, row_sums, need, budget)
     if chosen is None:
         raise InfeasibleQueryError(dict(enumerate(query.preference.tolist())))
-    sizes = np.minimum(row_caps, int(query.preference.sum()))
-    hi = float(np.max(sizes[chosen] / speeds[chosen] + transfers[chosen]))
+    hi = float(np.max(row_caps[chosen] / speeds[chosen] + transfers[chosen]))
     chosen = _threshold_search(
         lambda t: _cover_within(_caps_at(t, speeds, transfers, row_caps),
                                 row_sums, need, budget),
-        chosen, hi, speeds, transfers, sizes)
+        chosen, hi, speeds, transfers, row_caps)
     return min_makespan_assignment(query, sorted(chosen))
 
 
@@ -517,19 +525,26 @@ def exact_milp(query: DistributionQuery) -> Assignment:
 
 def _effective_capacities(query: DistributionQuery,
                           subset: Sequence[int] | None = None) -> np.ndarray:
-    """Capacities of all clients, or of the ``subset`` rows, with unusable
-    clients zeroed.
+    """What the solvers can draw on: the capacities of all clients, or of the
+    ``subset`` rows, with unusable clients zeroed and each cell clipped to
+    its category's preference.
 
     A client with zero speed, or a positive transfer over zero bandwidth,
-    can never finish, so its capacity can never be drawn on. Where every
-    client is usable, all clients' capacities are the query's own array, not
-    a copy; callers only read it.
+    can never finish, so its capacity can never be drawn on; nor can any
+    count above what its category asks for. So no cell or row total passes
+    the preference total, which is below 2^31. Where nothing is zeroed or
+    clipped, all clients' capacities are the query's own array, not a copy;
+    callers only read it.
     """
     rows = slice(None) if subset is None else subset
     usable = (query.speeds[rows] > 0) & ((query.transfer_sizes[rows] == 0)
                                          | (query.bandwidths[rows] > 0))
     caps = query.capacities[rows]
-    return caps if usable.all() else np.where(usable[:, None], caps, 0)
+    if not usable.all():
+        caps = np.where(usable[:, None], caps, 0)
+    if np.any(caps.max(axis=0, initial=0) > query.preference):
+        caps = np.minimum(caps, query.preference)
+    return caps
 
 
 def _check_capacity(query: DistributionQuery, caps: np.ndarray) -> None:
@@ -544,48 +559,30 @@ def _greedy_picks(caps: np.ndarray, preference: np.ndarray,
                   client_ids: Sequence[str]) -> list[int]:
     """Greedy cover rows in pick order: each pick has the largest
     contribution ``sum_i min(caps[n, i], remaining[i])``, ties to the first
-    client id.
+    client id. ``caps`` are at most ``preference`` (as
+    :func:`_effective_capacities` gives them), so a first contribution is a
+    row total.
 
     A contribution can only fall as categories fill. It has not fallen yet
-    while each category's remaining demand is at least the largest
-    ``min(caps[n, i], preference[i])`` in its column, so until then greedy
-    takes the clients in order of their first contribution: that head is
-    taken in one vectorised step (:func:`_bulk_head`), and
-    :func:`_tail_picks` picks the rest.
+    while each category's remaining demand is at least the largest cell in
+    its column, so until then greedy takes the clients in order of their
+    first contribution: that head is taken in one vectorised step
+    (:func:`_bulk_head`), and :func:`_tail_picks` picks the rest.
     """
-    size, categories = caps.shape
+    size = len(caps)
     order = np.array(sorted(range(size), key=client_ids.__getitem__),
                      dtype=np.int64)
     rank = np.empty(size, dtype=np.int64)
     rank[order] = np.arange(size)
-    contrib = np.empty(size, dtype=np.int64)
-    column_max = np.zeros(categories, dtype=np.int64)
-    for lo, clipped in _clipped_blocks(caps, preference):
-        clipped.sum(axis=1, out=contrib[lo:lo + len(clipped)])
-        np.maximum(column_max, clipped.max(axis=0), out=column_max)
+    contrib = caps.sum(axis=1)
     live = np.flatnonzero(contrib > 0)
-    wide = int(contrib.max(initial=0)) > (_INT64_MAX - size) // size
-    keys = np.sort(_heap_keys(contrib[live], rank[live], size, wide))
-    ahead = order[(keys % size).astype(np.int64, copy=False)]
-    head, taken = _bulk_head(caps, preference, ahead, preference - column_max)
+    keys = np.sort(rank[live] - contrib[live] * size)
+    ahead = order[keys % size]
+    head, taken = _bulk_head(caps, preference, ahead,
+                             preference - caps.max(axis=0, initial=0))
     picked = ahead[:head].tolist()
-    _tail_picks(caps, preference - taken, order, keys[head:].tolist(), wide,
-                picked)
+    _tail_picks(caps, preference - taken, order, keys[head:].tolist(), picked)
     return picked
-
-
-def _clipped_blocks(caps: np.ndarray, limit: np.ndarray,
-                    rows: np.ndarray | None = None):
-    """``np.minimum(caps[rows], limit)`` as (first row, block) pairs, in
-    blocks of about ``_BLOCK_CELLS`` cells that reuse one buffer."""
-    count = len(caps) if rows is None else len(rows)
-    step = max(1, _BLOCK_CELLS // max(1, caps.shape[1]))
-    buffer = np.empty((min(step, count), caps.shape[1]), dtype=np.int64)
-    for lo in range(0, count, step):
-        out = buffer[:min(step, count - lo)]
-        block = caps[lo:lo + step] if rows is None \
-            else np.take(caps, rows[lo:lo + step], axis=0, out=out)
-        yield lo, np.minimum(block, limit, out=out)
 
 
 def _bulk_head(caps: np.ndarray, preference: np.ndarray, ahead: np.ndarray,
@@ -594,12 +591,17 @@ def _bulk_head(caps: np.ndarray, preference: np.ndarray, ahead: np.ndarray,
     and the samples they fill per category.
 
     ``ahead`` is in greedy order of first contributions, and ``slack`` is
-    each category's demand less its largest clipped capacity. Every
-    contribution is still its first while no category has filled more than
-    its slack, so the head runs through the first pick after which one has.
+    each category's demand less its largest capacity. Every contribution is
+    still its first while no category has filled more than its slack, so the
+    head runs through the first pick after which one has. The rows are
+    gathered in blocks of about ``_BLOCK_CELLS`` cells into one buffer.
     """
     taken = np.zeros_like(preference)
-    for lo, filled in _clipped_blocks(caps, preference, ahead):
+    step = max(1, _BLOCK_CELLS // max(1, caps.shape[1]))
+    buffer = np.empty((min(step, len(ahead)), caps.shape[1]), dtype=np.int64)
+    for lo in range(0, len(ahead), step):
+        filled = np.take(caps, ahead[lo:lo + step], axis=0,
+                         out=buffer[:min(step, len(ahead) - lo)])
         np.cumsum(filled, axis=0, out=filled)
         filled += taken
         over = (filled > slack).any(axis=1).nonzero()[0]
@@ -610,30 +612,31 @@ def _bulk_head(caps: np.ndarray, preference: np.ndarray, ahead: np.ndarray,
 
 
 def _tail_picks(caps: np.ndarray, remaining: np.ndarray, order: np.ndarray,
-                heap: list[int], wide: bool, picked: list[int]) -> None:
+                heap: list[int], picked: list[int]) -> None:
     """Greedy picks after the head, appended to ``picked``.
 
-    ``heap`` holds the other live clients' keys (:func:`_heap_keys`) at
-    their first contributions, in ascending order; a contribution can only
-    fall, so these bound it from above. Picks alternate between
-    :func:`_lazy_picks`, which keeps the bounds in the heap, and
-    :func:`_scan_picks`, which recomputes every contribution at each pick
-    and is cheaper once most of a small heap goes stale between picks.
+    ``heap`` holds the other live clients' keys ``rank - contribution *
+    clients`` at their first contributions, in ascending order: the smallest
+    is the largest contribution, ties to the first id. A contribution is at
+    most the preference total, below 2^31, so with fewer than 2^32 clients
+    every key fits in int64. A contribution can only fall, so these bound
+    it from above. Picks alternate between :func:`_lazy_picks`, which keeps
+    the bounds in the heap, and :func:`_scan_picks`, which recomputes every
+    contribution at each pick and is cheaper once most of a small heap goes
+    stale between picks.
     """
     left = int(remaining.sum())
     scan = len(heap) * caps.shape[1] <= _BLOCK_CELLS
     while left > 0:
         if scan:
-            heap, left = _scan_picks(caps, remaining, order, heap, wide, left,
-                                     picked)
+            heap, left = _scan_picks(caps, remaining, order, heap, left, picked)
         else:
-            left = _lazy_picks(caps, remaining, order, heap, wide, left, picked)
+            left = _lazy_picks(caps, remaining, order, heap, left, picked)
         scan = not scan
 
 
 def _lazy_picks(caps: np.ndarray, remaining: np.ndarray, order: np.ndarray,
-                heap: list[int], wide: bool, left: int,
-                picked: list[int]) -> int:
+                heap: list[int], left: int, picked: list[int]) -> int:
     """Lazy greedy (Minoux, 1978) over the heap of keys ``rank -
     contribution * clients``: the top is taken once its key is fresh. After
     ``_STREAK`` stale tops, up to ``_REFRESH`` are refreshed in one step.
@@ -655,8 +658,7 @@ def _lazy_picks(caps: np.ndarray, remaining: np.ndarray, order: np.ndarray,
             streak += len(stale)
             contrib = np.minimum(caps[order[stale]], remaining).sum(axis=1)
             alive = contrib > 0
-            for key in _heap_keys(contrib[alive], stale[alive], size,
-                                  wide).tolist():
+            for key in (stale[alive] - contrib[alive] * size).tolist():
                 heapq.heappush(heap, key)
             fresh.update(stale[alive].tolist())
             continue
@@ -681,7 +683,7 @@ def _lazy_picks(caps: np.ndarray, remaining: np.ndarray, order: np.ndarray,
 
 
 def _scan_picks(caps: np.ndarray, remaining: np.ndarray, order: np.ndarray,
-                heap: list[int], wide: bool, left: int,
+                heap: list[int], left: int,
                 picked: list[int]) -> tuple[list[int], int]:
     """Greedy picks by recomputing every candidate's contribution at each
     pick, over the heap's clients in id order.
@@ -706,7 +708,7 @@ def _scan_picks(caps: np.ndarray, remaining: np.ndarray, order: np.ndarray,
             calm = calm + 1 if _SCAN_SHARE * fell < len(last) else 0
             if calm >= _CALM_SCANS:
                 keep = contrib > 0
-                heap = _heap_keys(contrib[keep], ranks[keep], size, wide).tolist()
+                heap = (ranks[keep] - contrib[keep] * size).tolist()
                 heap.sort()
                 return heap, left
         best = int((contrib == top).nonzero()[0][0])  # the first: ranks ascend
@@ -720,16 +722,6 @@ def _scan_picks(caps: np.ndarray, remaining: np.ndarray, order: np.ndarray,
             keep = contrib > 0
             ranks, cells, last = ranks[keep], cells[keep], contrib[keep]
     return [], 0
-
-
-def _heap_keys(contrib: np.ndarray, ranks: np.ndarray, size: int,
-               wide: bool) -> np.ndarray:
-    """Keys ``rank - contribution * size``: the smallest is the largest
-    contribution, ties to the first id. ``wide`` computes them in Python
-    ints, for contributions where int64 would overflow."""
-    if wide:
-        contrib = contrib.astype(object)
-    return ranks - contrib * size
 
 
 def _transfer_times(query: DistributionQuery, subset: Sequence[int]) -> np.ndarray:
@@ -750,7 +742,8 @@ def _flow_graph(caps_sub: np.ndarray, totals: np.ndarray,
     the sink. Only positive capacities become edges: source -> client (total
     cap), client -> category (cell cap, row-major), category -> sink (demand).
     Each row's edges are already in ascending column order, so the edge
-    arrays are the CSR arrays.
+    arrays are the CSR arrays. Capacities from :func:`_effective_capacities`
+    keep every count below 2^31, so the arrays are int32.
     """
     n, i = caps_sub.shape
     sink = 1 + n + i
@@ -759,8 +752,6 @@ def _flow_graph(caps_sub: np.ndarray, totals: np.ndarray,
     client, category = np.nonzero(cells)
     wanted = np.flatnonzero(preference > 0)
     vals = np.concatenate((totals[senders], caps_sub[cells], preference[wanted]))
-    if vals.size and vals.max() >= 2 ** 31:
-        raise ValueError("sample counts too large for the flow solver")
     indices = np.concatenate((1 + senders, 1 + n + category,
                               np.full(wanted.size, sink)))
     per_row = np.zeros(sink + 1, dtype=np.int64)
@@ -816,7 +807,6 @@ def min_makespan_assignment(query: DistributionQuery,
     _check_capacity(query, caps_sub)
     baseline = _feasible_flow(caps_sub, row_caps, preference)
     hi = _makespan(baseline, speeds, transfers)
-    sizes = np.minimum(row_caps, int(preference.sum()))
     wanted = np.flatnonzero(preference > 0)
     cells, demand = caps_sub[:, wanted], preference[wanted]
 
@@ -835,12 +825,12 @@ def min_makespan_assignment(query: DistributionQuery,
     # the flow search's own result there. At ``hi`` that result is the
     # baseline (a flow at row totals), not a flow at ``_caps_at(hi)``.
     best_flow = baseline
-    floor = _threshold_search(fills, hi, hi, speeds, transfers, sizes)
+    floor = _threshold_search(fills, hi, hi, speeds, transfers, row_caps)
     if floor < hi:
         best_flow = flow_at(floor)
         if best_flow is None:
             best_flow = _threshold_search(flow_at, baseline, hi, speeds,
-                                          transfers, sizes, lo=floor)
+                                          transfers, row_caps, lo=floor)
     return _to_assignment(query, subset, best_flow, speeds, transfers)
 
 

@@ -88,13 +88,16 @@ def test_simulate_train_verbose_tables_digest(runner, tmp_path):
                                   "--out", str(out), "--verbose"])
     assert result.exit_code == 0, result.output
     tables = sorted([*out.glob("utilities_*.tsv"), *out.glob("run_*.tsv")])
-    assert len(tables) == 8
+    # The random policy never calls the selector, so it writes no utilities.
+    assert [t.name for t in tables if t.name.startswith("utilities_")] == [
+        "utilities_guided_seed1.tsv", "utilities_guided_seed2.tsv"]
+    assert len(tables) == 6
     digest = hashlib.sha256()
     for table in tables:
         digest.update(f"{table.name}\n".encode())
         digest.update(table.read_bytes())
     assert digest.hexdigest() == (
-        "4a77b02cba4822301b4132883c74b1c89171d7139b0c76fc90507866b3866142")
+        "6becd71ffacedc1204b13171fc1492c489f3ba49ed1b99c9c7166e80a1441398")
 
 
 def test_simulate_train_max_rounds_zero_reports_not_reached(runner, tmp_path):
@@ -418,6 +421,51 @@ def test_compose_testset_out_without_directory_is_a_usage_error(runner, tmp_path
     assert "'--out'" in result.output and problem in result.output
     assert "greedy" not in result.output
     assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+def compose_from(runner, tmp_path, capacity_rows: str, descriptor: dict):
+    caps = tmp_path / "caps.tsv"
+    caps.write_text("client_id\tcategory\tcount\n" + capacity_rows)
+    query = tmp_path / "query.json"
+    query.write_text(json.dumps(descriptor))
+    out = tmp_path / "assign.tsv"
+    result = runner.invoke(main, ["compose-testset", "--query", str(query),
+                                  "--capacities", str(caps), "--out", str(out)])
+    return result, out
+
+
+def test_compose_testset_uses_a_count_above_its_demand_as_the_demand(runner,
+                                                                      tmp_path):
+    result, out = compose_from(runner, tmp_path,
+                               "a\t0\t1099511627776\nb\t1\t4\n",
+                               {"preference": [2, 2], "budget": 2})
+    assert result.exit_code == 0, result.output
+    assert "makespan = 1.2000 s" in result.output
+    assert out.read_text() == ("client_id\tcategory\tsamples\n"
+                               "a\t0\t2\nb\t1\t2\n")
+
+
+@pytest.mark.parametrize("descriptor", [
+    {"preference": [2 ** 30, 2 ** 30], "budget": 2},
+    {"representative_samples": 2 ** 31, "budget": 2},
+    {"representative_samples": 10 ** 400, "budget": 2},  # past any float
+], ids=["preference", "representative", "representative_past_float"])
+def test_compose_testset_preference_total_of_2_31_is_a_usage_error(
+        runner, tmp_path, descriptor):
+    result, out = compose_from(runner, tmp_path,
+                               "a\t0\t1099511627776\nb\t1\t4\n", descriptor)
+    assert result.exit_code == 2, result.output
+    assert "bad testing query" in result.output
+    assert not out.exists()
+
+
+def test_compose_testset_representative_totals_do_not_wrap(runner, tmp_path):
+    # Category 0 totals 2^64 samples, which an int64 sum wraps to 0.
+    rows = "".join(f"{c}\t0\t{2 ** 62}\n" for c in "abcd") + "e\t1\t10\n"
+    result, out = compose_from(runner, tmp_path, rows,
+                               {"representative_samples": 4, "budget": 5})
+    assert result.exit_code == 0, result.output
+    assert out.read_text() == "client_id\tcategory\tsamples\na\t0\t4\n"
 
 
 def test_compose_testset_reports_unmatched_client_rows(runner, tmp_path):

@@ -34,7 +34,7 @@ from scipy.sparse.csgraph import maximum_flow
 
 from fedsel import testing
 from fedsel.cli import _random_query
-from fedsel.errors import BudgetExceededError, InfeasibleQueryError
+from fedsel.errors import BudgetExceededError, FedselError, InfeasibleQueryError
 
 
 def fold(digest, assignment: testing.Assignment) -> None:
@@ -181,13 +181,28 @@ def one_category_query(caps, preference) -> testing.DistributionQuery:
         bandwidths=np.full(n, 1e6), transfer_sizes=np.full(n, 1e6))
 
 
-@pytest.mark.parametrize("caps, preference", [
-    ([2 ** 31], 5),
-    ([2 ** 31 - 1, 2 ** 31 - 1], 2 ** 31),
-], ids=["capacity", "preference"])
-def test_flow_solver_rejects_counts_beyond_int32(caps, preference):
-    with pytest.raises(ValueError, match="too large for the flow solver"):
-        testing.greedy_cover(one_category_query(caps, preference))
+def test_capacity_beyond_int32_is_used_as_its_demand():
+    query = one_category_query([2 ** 31], 5)
+    for solver in (testing.greedy_cover, testing.exact_milp):
+        assignment = solver(query)
+        assert assignment.samples == {"c0": (5,)}
+        assert assignment.objective_seconds == 5 / 10.0 + 1.0
+    assert query.capacities.tolist() == [[2 ** 31]]  # kept as given
+
+
+@pytest.mark.parametrize("preference", [
+    [2 ** 31],
+    [2 ** 31 - 1, 1],
+    # Bounding only the sum would pass this: it wraps to 1 in int64.
+    [2 ** 63 - 1, 2 ** 63 - 1, 3],
+], ids=["entry", "total", "wrapping_total"])
+def test_preference_total_beyond_int32_is_rejected(preference):
+    n = len(preference)
+    with pytest.raises(ValueError, match="preference must be"):
+        testing.DistributionQuery(
+            client_ids=("c0",), capacities=np.full((1, n), 2 ** 31 - 1),
+            preference=preference, budget=1, speeds=[10.0], bandwidths=[1e6],
+            transfer_sizes=[1e6])
 
 
 def test_flow_solver_accepts_the_largest_int32_count():
@@ -280,6 +295,37 @@ def test_greedy_at_its_own_participant_count_keeps_its_cover(query):
         assert_same_assignment(testing.greedy_cover(query), free)
 
 
+@st.composite
+def raised_queries(draw):
+    """A small query, and the same query with every cell at or above its
+    category's preference raised to a count up to 2^63 - 1."""
+    query = draw(small_queries())
+    caps = query.capacities.copy()
+    for n, i in zip(*np.nonzero(caps >= query.preference)):
+        caps[n, i] = draw(st.integers(int(query.preference[i]), 2 ** 63 - 1))
+    return query, dataclasses.replace(query, capacities=caps)
+
+
+def solve_or_error(solver, query):
+    try:
+        return solver(query)
+    except FedselError as exc:
+        return exc
+
+
+@settings(max_examples=150, deadline=None)
+@given(raised_queries())
+def test_cells_above_their_demand_act_as_the_demand(case):
+    query, raised = case
+    for solver in (testing.greedy_cover, testing.exact_milp):
+        want = solve_or_error(solver, query)
+        got = solve_or_error(solver, raised)
+        if isinstance(want, FedselError):
+            assert (type(got), str(got)) == (type(want), str(want))
+        else:
+            assert_same_assignment(got, want)
+
+
 # -- greedy phase 1 against the lazy and full-rescan references ---------------
 
 
@@ -344,16 +390,19 @@ BOTH_REFERENCES = (reference_greedy_picks, lazy_greedy_picks)
 
 def assert_picks_match(references, caps, preference, ids) -> None:
     """``_greedy_picks`` makes each reference's picks, or raises its
-    shortfalls."""
+    shortfalls. It takes the capacities clipped to the preference, as
+    ``_effective_capacities`` gives them; the references clip through
+    ``min(cap, remaining)``."""
+    clipped = np.minimum(caps, preference)
     for reference in references:
         try:
             want = reference(caps, preference, ids)
         except InfeasibleQueryError as exc:
             with pytest.raises(InfeasibleQueryError) as got:
-                testing._greedy_picks(caps, preference, ids)
+                testing._greedy_picks(clipped, preference, ids)
             assert got.value.shortfalls == exc.shortfalls
         else:
-            assert testing._greedy_picks(caps, preference, ids) == want
+            assert testing._greedy_picks(clipped, preference, ids) == want
 
 
 @st.composite
@@ -426,24 +475,13 @@ def test_greedy_picks_match_lazy_reference_past_a_block(inputs):
     assert_picks_match((lazy_greedy_picks,), *inputs)
 
 
-def test_greedy_picks_are_exact_where_heap_keys_pass_int64():
-    query = _random_query(5000, 30, 2)
-    caps = testing._effective_capacities(query)
-    scale = 10 ** 13
-    assert int(caps.sum(axis=1).max()) * scale * len(caps) > 2 ** 63
-    want = testing._greedy_picks(caps, query.preference, query.client_ids)
-    scaled = (caps * scale, query.preference * scale, query.client_ids)
-    assert testing._greedy_picks(*scaled) == want
-    assert lazy_greedy_picks(*scaled) == want
-
-
 def test_bulk_head_spans_blocks_and_takes_most_picks(monkeypatch):
     heads = []
     tail = testing._tail_picks
 
-    def recording(caps, remaining, order, heap, wide, picked):
+    def recording(caps, remaining, order, heap, picked):
         heads.append(len(picked))
-        return tail(caps, remaining, order, heap, wide, picked)
+        return tail(caps, remaining, order, heap, picked)
 
     monkeypatch.setattr(testing, "_tail_picks", recording)
     query = _random_query(10_000, 30, 4)
@@ -458,7 +496,7 @@ def test_effective_capacities_of_a_subset_are_those_rows():
     n = 6
     query = testing.DistributionQuery(
         client_ids=tuple(f"c{j}" for j in range(n)),
-        capacities=np.arange(2 * n).reshape(n, 2), preference=[1, 1],
+        capacities=np.arange(2 * n).reshape(n, 2), preference=[11, 11],
         budget=n, speeds=[1.0, 0.0, 1.0, 1.0, 1.0, 1.0],
         bandwidths=[1e6, 1e6, 0.0, 0.0, 1e6, 1e6],
         transfer_sizes=[1e6, 1e6, 1e6, 0.0, 1e6, 1e6])
@@ -472,6 +510,14 @@ def test_effective_capacities_of_a_subset_are_those_rows():
                                  bandwidths=np.full(n, 1e6))
     assert np.shares_memory(testing._effective_capacities(usable),
                             usable.capacities)
+    # Cells above their category's preference are clipped to it; the query
+    # keeps its own counts.
+    clipped = dataclasses.replace(query, preference=[4, 5])
+    assert testing._effective_capacities(clipped).tolist() == [
+        [0, 1], [0, 0], [0, 0], [4, 5], [4, 5], [4, 5]]
+    assert testing._effective_capacities(clipped, [5, 0, 1]).tolist() == [
+        [4, 5], [0, 1], [0, 0]]
+    assert clipped.capacities.max() == 11
 
 
 # -- threshold search against the two-branch reference ------------------------
@@ -526,9 +572,10 @@ def search_cases(draw):
     caps = np.array(draw(st.lists(st.integers(0, 6), min_size=n * i,
                                   max_size=n * i)),
                     dtype=np.int64).reshape(n, i)
+    # No cell passes this preference, so the totals drawn on are unclipped.
     query = testing.DistributionQuery(
         client_ids=tuple(f"c{j}" for j in range(n)),
-        capacities=caps, preference=np.ones(i, dtype=np.int64), budget=n,
+        capacities=caps, preference=np.full(i, 6, dtype=np.int64), budget=n,
         speeds=draw(st.lists(st.sampled_from([0.0, 1.0, 2.0, 3.0, 7.5]),
                              min_size=n, max_size=n)),
         bandwidths=draw(st.lists(st.sampled_from([0.0, 1.0, 4.0]),
@@ -706,9 +753,10 @@ def floor_cases(draw):
     caps = np.array(draw(st.lists(st.integers(0, 3), min_size=n * i,
                                   max_size=n * i)),
                     dtype=np.int64).reshape(n, i)
+    # No cell passes this preference, so the totals drawn on are unclipped.
     query = testing.DistributionQuery(
         client_ids=tuple(f"c{j}" for j in range(n)),
-        capacities=caps, preference=np.ones(i, dtype=np.int64), budget=n,
+        capacities=caps, preference=np.full(i, 3, dtype=np.int64), budget=n,
         speeds=draw(st.lists(st.sampled_from([0.0, 1.0, 2.0, 3.0, 7.5]),
                              min_size=n, max_size=n)),
         bandwidths=draw(st.lists(st.sampled_from([0.0, 1.0, 4.0]),

@@ -1,4 +1,6 @@
-"""Fuzzing the table readers: each returns valid rows or fails typed."""
+"""Fuzzing the input boundaries: each table reader returns valid rows or fails
+typed, and a testing-query descriptor loads into a query the cover solver
+answers, or is rejected with a ValueError."""
 
 from __future__ import annotations
 
@@ -8,7 +10,7 @@ import tempfile
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from fedsel import testing
@@ -119,3 +121,67 @@ def test_mutated_capacity_table_loads_or_fails_typed(sep, mutations):
         assert ids == sorted(set(ids)) and ids
         assert caps.dtype == np.int64 and caps.shape[0] == len(ids)
         assert 1 <= caps.size <= _FUZZ_CAPACITY_CELLS and np.all(caps >= 0)
+
+
+# Descriptor values of every JSON type, with integers at the int32 and int64
+# edges and past them.
+_QUERY_VALUES = st.one_of(
+    st.integers(0, 12),
+    st.sampled_from([-1, 2 ** 31 - 1, 2 ** 31, 2 ** 63 - 1, 2 ** 63, 10 ** 400]),
+    st.booleans(), st.none(), st.text(max_size=2), st.just([]), st.just({}),
+    st.floats(allow_nan=True, allow_infinity=True))
+# Capacity counts up to the largest a capacity file admits.
+_COUNTS = st.one_of(st.integers(0, 6), st.integers(0, 2 ** 63 - 1),
+                    st.sampled_from([2 ** 31 - 1, 2 ** 31, 2 ** 62, 2 ** 63 - 1]))
+
+
+@st.composite
+def capacity_matrices(draw):
+    n, i = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    cells = draw(st.lists(_COUNTS, min_size=n * i, max_size=n * i))
+    return np.array(cells, dtype=np.int64).reshape(n, i)
+
+
+@st.composite
+def query_descriptors(draw, categories: int):
+    """A descriptor with mistyped or out-of-range fields, a preference of
+    the wrong length, or keys missing; now and then no JSON object at all."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(_QUERY_VALUES)
+
+    def value():  # mostly a count, so that many queries reach the solver
+        return draw(st.integers(1, 12) if draw(st.integers(0, 7))
+                    else _QUERY_VALUES)
+
+    length = draw(st.sampled_from([categories] * 4
+                                  + [categories - 1, categories + 1]))
+    descriptor = {"preference": [value() for _ in range(length)],
+                  "representative_samples": value(), "budget": value()}
+    for key in list(descriptor):
+        action = draw(st.sampled_from(["keep"] * 6 + ["drop", "retype"]))
+        if action == "drop":
+            del descriptor[key]
+        elif action == "retype":
+            descriptor[key] = draw(_QUERY_VALUES)
+    return descriptor
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), caps=capacity_matrices())
+def test_query_descriptor_loads_or_fails_typed(data, caps):
+    descriptor = data.draw(query_descriptors(caps.shape[1]))
+    ids = [f"c{j}" for j in range(len(caps))]
+    try:
+        query = testing.load_distribution_query(descriptor, ids, caps)
+    except ValueError:
+        event("rejected")
+        return
+    assert 0 < query.preference.sum() < 2 ** 31
+    assert np.array_equal(query.capacities, caps)
+    try:
+        assignment = testing.greedy_cover(query)
+    except FedselError as exc:
+        event(type(exc).__name__)
+        return
+    testing.validate_assignment(query, assignment)
+    event("solved")

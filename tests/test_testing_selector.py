@@ -644,6 +644,15 @@ def test_representative_always_sums_to_total(counts, total):
             assert p == 0
 
 
+def test_representative_preference_sums_columns_without_wrapping():
+    # Category 0 totals 2^64 samples, which an int64 sum wraps to 0.
+    caps = np.array([[2 ** 62, 0]] * 4 + [[0, 10]], dtype=np.int64)
+    query = load_distribution_query({"representative_samples": 4, "budget": 5},
+                                    ["a", "b", "c", "d", "e"], caps)
+    assert query.preference.tolist() == [4, 0]
+    assert greedy_cover(query).samples == {"a": (4, 0)}
+
+
 # -- files ------------------------------------------------------------------------------
 
 def test_capacity_file_roundtrip(tmp_path):
