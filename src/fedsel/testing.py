@@ -512,7 +512,7 @@ def exact_milp(query: DistributionQuery) -> Assignment:
     chosen = _cover_within(row_caps, row_sums, need, budget)
     if chosen is None:
         raise InfeasibleQueryError(dict(enumerate(query.preference.tolist())))
-    hi = float(np.max(row_caps[chosen] / speeds[chosen] + transfers[chosen]))
+    hi = _makespan(row_caps[chosen], speeds[chosen], transfers[chosen])
     chosen = _threshold_search(
         lambda t: _cover_within(_caps_at(t, speeds, transfers, row_caps),
                                 row_sums, need, budget),
@@ -526,24 +526,29 @@ def exact_milp(query: DistributionQuery) -> Assignment:
 def _effective_capacities(query: DistributionQuery,
                           subset: Sequence[int] | None = None) -> np.ndarray:
     """What the solvers can draw on: the capacities of all clients, or of the
-    ``subset`` rows, with unusable clients zeroed and each cell clipped to
-    its category's preference.
+    ``subset`` rows, with each cell clipped to its category's preference and
+    clients that cannot finish zeroed.
 
-    A client with zero speed, or a positive transfer over zero bandwidth,
-    can never finish, so its capacity can never be drawn on; nor can any
-    count above what its category asks for. So no cell or row total passes
-    the preference total, which is below 2^31. Where nothing is zeroed or
-    clipped, all clients' capacities are the query's own array, not a copy;
-    callers only read it.
+    No count above what its category asks for can be drawn on, so no cell
+    or row total passes the preference total, which is below 2^31. Nor can
+    the capacity of a client that cannot send its (clipped) row total in
+    finite time: ``row_total / speed + transfer`` is infinite at a zero or
+    subnormal speed, an upload over zero bandwidth, or past the float
+    range. Every solver passes these row totals on, so a positive row
+    total is how each tells who takes part, and every completion time up to
+    it is finite. Where nothing is zeroed or clipped, all clients'
+    capacities are the query's own array, not a copy; callers only read it.
     """
     rows = slice(None) if subset is None else subset
-    usable = (query.speeds[rows] > 0) & ((query.transfer_sizes[rows] == 0)
-                                         | (query.bandwidths[rows] > 0))
     caps = query.capacities[rows]
-    if not usable.all():
-        caps = np.where(usable[:, None], caps, 0)
     if np.any(caps.max(axis=0, initial=0) > query.preference):
         caps = np.minimum(caps, query.preference)
+    totals = caps.sum(axis=1)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        done = totals / query.speeds[rows] + _transfer_times(query, rows)
+    stuck = (totals > 0) & ~np.isfinite(done)
+    if stuck.any():
+        caps = np.where(stuck[:, None], 0, caps)
     return caps
 
 
@@ -725,13 +730,11 @@ def _scan_picks(caps: np.ndarray, remaining: np.ndarray, order: np.ndarray,
 
 
 def _transfer_times(query: DistributionQuery, subset: Sequence[int]) -> np.ndarray:
-    """Upload seconds per client: 0 with nothing to send, inf without bandwidth."""
+    """Upload seconds per client: 0 with nothing to send, inf without
+    bandwidth or past the float range."""
     sizes = query.transfer_sizes[subset]
-    bandwidths = query.bandwidths[subset]
-    out = np.where(sizes == 0, 0.0, math.inf)
-    sends = (sizes != 0) & (bandwidths > 0)
-    out[sends] = sizes[sends] / bandwidths[sends]
-    return out
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return np.where(sizes == 0, 0.0, sizes / query.bandwidths[subset])
 
 
 def _flow_graph(caps_sub: np.ndarray, totals: np.ndarray,
@@ -796,7 +799,8 @@ def min_makespan_assignment(query: DistributionQuery,
     feasible flow passes: each wanted category, and all of them together, can
     be filled by what the clients send within it. One flow probe at that
     floor usually settles it; only if it fails does the search go on above
-    the floor with a flow feasibility check at every probe.
+    the floor with a flow feasibility check at every probe, from the flow at
+    row totals.
     """
     caps_sub = _effective_capacities(query, subset)
     preference = query.preference
@@ -805,8 +809,8 @@ def min_makespan_assignment(query: DistributionQuery,
     # With every client sending up to its row total, the flow is infeasible
     # exactly when some category's column total is short.
     _check_capacity(query, caps_sub)
-    baseline = _feasible_flow(caps_sub, row_caps, preference)
-    hi = _makespan(baseline, speeds, transfers)
+    # Every client has sent its row total by ``hi``, so the checks pass there.
+    hi = _makespan(row_caps, speeds, transfers)
     wanted = np.flatnonzero(preference > 0)
     cells, demand = caps_sub[:, wanted], preference[wanted]
 
@@ -822,25 +826,28 @@ def min_makespan_assignment(query: DistributionQuery,
                               preference)
 
     # No flow is feasible below the floor, so one feasible at the floor is
-    # the flow search's own result there. At ``hi`` that result is the
-    # baseline (a flow at row totals), not a flow at ``_caps_at(hi)``.
-    best_flow = baseline
+    # the flow search's own result there.
     floor = _threshold_search(fills, hi, hi, speeds, transfers, row_caps)
-    if floor < hi:
-        best_flow = flow_at(floor)
-        if best_flow is None:
-            best_flow = _threshold_search(flow_at, baseline, hi, speeds,
-                                          transfers, row_caps, lo=floor)
+    best_flow = flow_at(floor)
+    if best_flow is None:
+        baseline = _feasible_flow(caps_sub, row_caps, preference)
+        best_flow = _threshold_search(
+            flow_at, baseline, _makespan(baseline.sum(axis=1), speeds, transfers),
+            speeds, transfers, row_caps, lo=floor)
     return _to_assignment(query, subset, best_flow, speeds, transfers)
 
 
 def _caps_at(makespan: float, speeds: np.ndarray, transfers: np.ndarray,
              row_caps: np.ndarray) -> np.ndarray:
-    """Samples each client can train on and upload within ``makespan`` seconds."""
-    usable = (makespan - transfers > 0) & (speeds > 0)
+    """Samples each client can train on and upload within ``makespan``
+    seconds, up to its row total. Only clients with a positive row total
+    take part (see :func:`_effective_capacities`); the count is clipped in
+    float, since it can pass the int64 range."""
+    live = row_caps > 0
     totals = np.zeros(len(speeds), dtype=np.int64)
-    totals[usable] = _times_within(makespan, speeds[usable], transfers[usable])
-    return np.minimum(totals, row_caps)
+    totals[live] = np.minimum(np.maximum(
+        _times_within(makespan, speeds[live], transfers[live]), 0), row_caps[live])
+    return totals
 
 
 def _times_within(makespan: float, speeds: np.ndarray,
@@ -850,11 +857,13 @@ def _times_within(makespan: float, speeds: np.ndarray,
 
     The floor of ``(makespan - transfer) * speed`` can be one off either way,
     as the subtraction and the product round, so the count is stepped to the
-    last time that, computed as above, is within ``makespan``.
+    last time that, computed as above, is within ``makespan``. Past the
+    float range the count is infinite.
     """
-    k = np.floor((makespan - transfers) * speeds)
-    k += (k + 1) / speeds + transfers <= makespan
-    return k - (k / speeds + transfers > makespan)
+    with np.errstate(over="ignore"):
+        k = np.floor((makespan - transfers) * speeds)
+        k += (k + 1) / speeds + transfers <= makespan
+        return k - (k / speeds + transfers > makespan)
 
 
 def _threshold_search(probe, witness, hi: float, speeds: np.ndarray,
@@ -868,21 +877,31 @@ def _threshold_search(probe, witness, hi: float, speeds: np.ndarray,
     the latest time at or below the midpoint between ``hi`` and ``first``,
     the first time above the last failing probe (or ``lo``). Times are counted
     as :func:`_caps_at` counts them, so every probe is a completion time in
-    [first, hi) and the span at least halves.
+    [first, hi) and the span at least halves. Where several of a client's
+    times round to one float, the count there takes only one of them, so the
+    next time counted above a failing probe may be the probe itself: the
+    search then steps one float past it, so no time is probed twice and the
+    search ends.
+
+    Only clients with a positive size take part; their times up to it are
+    finite (see :func:`_effective_capacities`).
     """
-    live = (speeds > 0) & np.isfinite(transfers)
+    live = sizes > 0
     speeds, transfers, sizes = speeds[live], transfers[live], sizes[live]
 
     def first_above(t: float) -> float:
         # k indexes each client's first time above t.
         k = np.maximum(_times_within(t, speeds, transfers), 0) + 1
-        return float(np.min(k / speeds + transfers, initial=math.inf,
-                            where=k <= sizes))
+        with np.errstate(over="ignore"):
+            times = k / speeds + transfers
+        return max(float(np.min(times, initial=math.inf, where=k <= sizes)),
+                   math.nextafter(t, math.inf))
 
     first = first_above(lo)
     while first < hi:
-        k = np.minimum(_times_within(0.5 * (first + hi), speeds, transfers),
-                       sizes)
+        # Halved before the sum, which could pass the float range.
+        k = np.minimum(np.maximum(
+            _times_within(0.5 * first + 0.5 * hi, speeds, transfers), 0), sizes)
         times = k / speeds + transfers
         at = float(np.max(times, initial=first, where=(k > 0) & (times < hi)))
         found = probe(at)
@@ -935,9 +954,9 @@ def _cover_within(totals: np.ndarray, row_sums: np.ndarray, need: np.ndarray,
     return search(0, budget, need.tolist())
 
 
-def _makespan(assign: np.ndarray, speeds: np.ndarray,
+def _makespan(totals: np.ndarray, speeds: np.ndarray,
               transfers: np.ndarray) -> float:
-    totals = assign.sum(axis=1)
+    """Seconds until the last client is done sending its ``totals``."""
     active = totals > 0
     if not np.any(active):
         return 0.0
@@ -947,8 +966,9 @@ def _makespan(assign: np.ndarray, speeds: np.ndarray,
 def _to_assignment(query: DistributionQuery, subset: list[int],
                    assign: np.ndarray, speeds: np.ndarray,
                    transfers: np.ndarray) -> Assignment:
-    active = np.flatnonzero(assign.sum(axis=1) > 0)
+    totals = assign.sum(axis=1)
+    active = np.flatnonzero(totals > 0)
     samples = {query.client_ids[subset[j]]: tuple(cells)
                for j, cells in zip(active.tolist(), assign[active].tolist())}
     return Assignment(samples=samples,
-                      objective_seconds=_makespan(assign, speeds, transfers))
+                      objective_seconds=_makespan(totals, speeds, transfers))

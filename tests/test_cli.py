@@ -11,6 +11,7 @@ import re
 import pytest
 from click.testing import CliRunner
 
+from deadline import deadline
 from fedsel.cli import main
 
 
@@ -423,15 +424,21 @@ def test_compose_testset_out_without_directory_is_a_usage_error(runner, tmp_path
     assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 
-def compose_from(runner, tmp_path, capacity_rows: str, descriptor: dict):
+def compose_from(runner, tmp_path, capacity_rows: str, descriptor: dict,
+                 client_rows: str | None = None, options: tuple = ()):
     caps = tmp_path / "caps.tsv"
     caps.write_text("client_id\tcategory\tcount\n" + capacity_rows)
     query = tmp_path / "query.json"
     query.write_text(json.dumps(descriptor))
     out = tmp_path / "assign.tsv"
-    result = runner.invoke(main, ["compose-testset", "--query", str(query),
-                                  "--capacities", str(caps), "--out", str(out)])
-    return result, out
+    args = ["compose-testset", "--query", str(query),
+            "--capacities", str(caps), "--out", str(out), *options]
+    if client_rows is not None:
+        clients = tmp_path / "clients.tsv"
+        clients.write_text("client_id\tspeed\tbandwidth\ttransfer_bytes\n"
+                           + client_rows)
+        args += ["--clients", str(clients)]
+    return runner.invoke(main, args), out
 
 
 def test_compose_testset_uses_a_count_above_its_demand_as_the_demand(runner,
@@ -466,6 +473,43 @@ def test_compose_testset_representative_totals_do_not_wrap(runner, tmp_path):
                                {"representative_samples": 4, "budget": 5})
     assert result.exit_code == 0, result.output
     assert out.read_text() == "client_id\tcategory\tsamples\na\t0\t4\n"
+
+
+def test_compose_testset_ends_where_completion_times_round_to_one_float(
+        runner, tmp_path):
+    # Each client's completion times round to its transfer time (1e18 s and
+    # 1e17 s); the threshold search probed one of them forever.
+    with deadline(30):
+        result, out = compose_from(runner, tmp_path, "a\t0\t3\nb\t0\t2\n",
+                                   {"preference": [4], "budget": 2},
+                                   "a\t10\t1\t1e18\nb\t10\t1\t1e17\n",
+                                   options=("--exact",))
+    assert result.exit_code == 0, result.output
+    for solver in ("greedy", "exact"):
+        makespan = result.output.split(f"{solver}: makespan = ")[1].split()[0]
+        assert float(makespan) == 1e18
+
+
+@pytest.mark.parametrize("a_row", ["a\t1\t0.5\t1e308\n", "a\t1e-310\t0.5\t1\n"],
+                         ids=["transfer_overflows", "subnormal_speed"])
+def test_compose_testset_does_not_draw_on_a_client_that_cannot_finish(
+        runner, tmp_path, a_row):
+    # a cannot send its 2 samples in finite time, so the query is short of
+    # them, not answered with an infinite makespan.
+    clients = a_row + "b\t1\t1\t1\n"
+    result, out = compose_from(runner, tmp_path, "a\t0\t2\nb\t0\t1\n",
+                               {"preference": [3], "budget": 2}, clients)
+    assert result.exit_code == 1, result.output
+    assert "infeasible query" in result.output
+    assert "category 0: short 2" in result.output
+    assert not out.exists()
+    result, out = compose_from(runner, tmp_path, "a\t0\t2\nb\t0\t1\n",
+                               {"preference": [1], "budget": 2}, clients,
+                               options=("--exact",))
+    assert result.exit_code == 0, result.output
+    assert "greedy: makespan = 2.0000 s" in result.output
+    assert "exact: makespan = 2.0000 s" in result.output
+    assert out.read_text() == "client_id\tcategory\tsamples\nb\t0\t1\n"
 
 
 def test_compose_testset_reports_unmatched_client_rows(runner, tmp_path):

@@ -32,9 +32,13 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_flow
 
+from deadline import deadline
 from fedsel import testing
 from fedsel.cli import _random_query
 from fedsel.errors import BudgetExceededError, FedselError, InfeasibleQueryError
+
+# A float overflow or an invalid operation inside a solver is a fault here.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def fold(digest, assignment: testing.Assignment) -> None:
@@ -604,7 +608,7 @@ def search_inputs(query, solver):
     sizes = np.minimum(row_caps, int(preference.sum()))
     if solver == "flow":
         witness = testing._feasible_flow(caps, row_caps, preference)
-        hi = testing._makespan(witness, speeds, transfers)
+        hi = testing._makespan(witness.sum(axis=1), speeds, transfers)
         return (lambda t: testing._feasible_flow(
             caps, testing._caps_at(t, speeds, transfers, row_caps), preference),
             witness, hi, (speeds, transfers, sizes))
@@ -712,6 +716,89 @@ def test_threshold_search_steps_past_times_that_rounding_hides(need):
     assert len(calls) == len(set(calls))
 
 
+def test_threshold_search_ends_where_a_clients_times_round_to_one_float():
+    # With transfers of 1e18 and 1e17 s, each client's completion times
+    # round to its transfer time, and the count there takes one of them: b's
+    # first time above a failing probe at 1e17 was 1e17 again, and the search
+    # probed it forever.
+    speeds = np.array([10.0, 10.0])
+    transfers, sizes = np.array([1e18, 1e17]), np.array([3, 2])
+    assert 2 / 10.0 + 1e17 == 1e17
+    assert testing._caps_at(1e17, speeds, transfers, sizes).tolist() == [0, 1]
+    calls = []
+
+    def probe(t):
+        calls.append(t)
+        assert len(calls) <= 10, "threshold search does not terminate"
+        return t if testing._caps_at(t, speeds, transfers, sizes).sum() >= 4 \
+            else None
+
+    hi = float(np.max(sizes / speeds + transfers))
+    assert hi == 1e18
+    assert testing._threshold_search(probe, "witness", hi, speeds, transfers,
+                                     sizes) == "witness"
+    assert 1e17 < calls[-1] < hi and len(calls) == len(set(calls))
+
+
+@pytest.mark.parametrize("solver", [testing.greedy_cover, testing.exact_milp])
+def test_solvers_end_where_a_clients_times_round_to_one_float(solver):
+    query = testing.DistributionQuery(
+        client_ids=("a", "b"), capacities=[[3], [2]], preference=[4],
+        budget=2, speeds=[10.0, 10.0], bandwidths=[1.0, 1.0],
+        transfer_sizes=[1e18, 1e17])
+    with deadline(20):
+        got = solver(query)
+    testing.validate_assignment(query, got)
+    assert got.objective_seconds == 1e18
+
+
+def test_caps_at_clips_counts_past_the_float_range():
+    # (1e298 - 0) * 1e11 passes the float range. Cast to int64 before the
+    # clip, that count became INT64_MIN and the client sent nothing.
+    got = testing._caps_at(1e298, np.array([1e11, 1e-299]), np.zeros(2),
+                           np.array([5, 1]))
+    assert got.tolist() == [5, 0]
+
+
+def test_exact_solver_counts_a_fast_client_at_a_late_makespan():
+    # d finishes at 1e298 s and a at 1e299 s; b sends its 5 samples at once.
+    # With b counted as sending nothing at 1e298 s, a + b won.
+    query = testing.DistributionQuery(
+        client_ids=("a", "b", "d"), capacities=[[1, 0], [0, 5], [1, 0]],
+        preference=[1, 5], budget=2, speeds=[1e-299, 1e11, 1e-298],
+        bandwidths=np.ones(3), transfer_sizes=np.zeros(3))
+    got = testing.exact_milp(query)
+    testing.validate_assignment(query, got)
+    assert got.samples == {"b": (0, 5), "d": (1, 0)}
+    assert got.objective_seconds == 1 / 1e-298
+
+
+# a's transfer (1e308 bytes over 0.5 B/s) or its two samples (at 1e-310
+# samples/s) take longer than the float range holds.
+CANNOT_FINISH = {"transfer_overflows": {"speeds": [1.0, 1.0],
+                                        "transfer_sizes": [1e308, 1.0]},
+                 "subnormal_speed": {"speeds": [1e-310, 1.0],
+                                     "transfer_sizes": [1.0, 1.0]}}
+
+
+@pytest.mark.parametrize("case", sorted(CANNOT_FINISH))
+def test_a_client_that_cannot_finish_is_not_drawn_on(case):
+    query = testing.DistributionQuery(
+        client_ids=("a", "b"), capacities=[[2], [1]], preference=[3],
+        budget=2, bandwidths=[0.5, 1.0], **CANNOT_FINISH[case])
+    assert testing._effective_capacities(query).tolist() == [[0], [1]]
+    for solver in (testing.greedy_cover, testing.exact_milp):
+        with pytest.raises(InfeasibleQueryError) as info:
+            solver(query)
+        assert info.value.shortfalls == {0: 2}
+    # Where a is not needed, both solvers finish with b alone.
+    query.preference = np.array([1])
+    for solver in (testing.greedy_cover, testing.exact_milp):
+        got = solver(query)
+        assert got.samples == {"b": (1,)}
+        assert got.objective_seconds == 2.0
+
+
 # -- makespan search: cut-row floor against the flow-only reference -----------
 
 
@@ -729,8 +816,8 @@ def reference_min_makespan(query, subset) -> testing.Assignment:
         lambda t: testing._feasible_flow(
             caps_sub, testing._caps_at(t, speeds, transfers, row_caps),
             preference),
-        baseline, testing._makespan(baseline, speeds, transfers), speeds,
-        transfers, np.minimum(row_caps, int(preference.sum())))
+        baseline, testing._makespan(baseline.sum(axis=1), speeds, transfers),
+        speeds, transfers, np.minimum(row_caps, int(preference.sum())))
     return testing._to_assignment(query, subset, best_flow, speeds, transfers)
 
 
@@ -830,6 +917,16 @@ def test_flow_search_goes_on_above_a_floor_the_flow_fails(monkeypatch):
     assert lows == [0.0, 1.0]
     assert_same_assignment(got, want)
     assert got.objective_seconds == 2.0
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_greedy_cover_solves_one_flow(monkeypatch, seed):
+    # The makespan search's upper end is the makespan at row totals, so no
+    # flow is solved before the floor; the flow at the floor is the answer.
+    query = _random_query(1000, 30, seed)
+    probes = count_flow_probes(monkeypatch)
+    testing.greedy_cover(query)
+    assert probes[0] == 1
 
 
 # -- exact solver against the branch-and-bound reference ----------------------

@@ -1,6 +1,7 @@
 """Fuzzing the input boundaries: each table reader returns valid rows or fails
-typed, and a testing-query descriptor loads into a query the cover solver
-answers, or is rejected with a ValueError."""
+typed, a testing-query descriptor loads into a query the cover solver
+answers, or is rejected with a ValueError, and clients at the extremes of the
+float range get a finite makespan or a typed error."""
 
 from __future__ import annotations
 
@@ -10,9 +11,11 @@ import tempfile
 from unittest import mock
 
 import numpy as np
-from hypothesis import event, given, settings
+import pytest
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
+from deadline import deadline
 from fedsel import testing
 from fedsel.errors import FedselError
 from fedsel.testing import read_capacity_file, read_client_table
@@ -185,3 +188,50 @@ def test_query_descriptor_loads_or_fails_typed(data, caps):
         return
     testing.validate_assignment(query, assignment)
     event("solved")
+
+
+# Extremes of the client table: zero, subnormal and near-overflow speeds and
+# bandwidths, and transfers up to the largest float.
+_SPEEDS = [0.0, 5e-324, 1e-310, 1e-300, 1e-5, 1.0, 7.0, 1e11, 1e300, 1.7e308]
+_BANDWIDTHS = [0.0, 5e-324, 1e-300, 0.5, 1.0, 1e300]
+_TRANSFER_SIZES = [0.0, 1.0, 1e7 / 3, 1e300, 1.7e308]
+
+
+@st.composite
+def extreme_queries(draw):
+    n, i = draw(st.integers(1, 5)), draw(st.integers(1, 2))
+    caps = np.array(draw(st.lists(st.integers(0, 4), min_size=n * i,
+                                  max_size=n * i)),
+                    dtype=np.int64).reshape(n, i)
+    preference = [draw(st.integers(0, int(t))) for t in caps.sum(axis=0)]
+    assume(sum(preference) > 0)
+
+    def column(values):
+        return draw(st.lists(st.sampled_from(values), min_size=n, max_size=n))
+
+    return testing.DistributionQuery(
+        client_ids=tuple(f"c{j}" for j in range(n)), capacities=caps,
+        preference=preference, budget=draw(st.integers(1, n)),
+        speeds=column(_SPEEDS), bandwidths=column(_BANDWIDTHS),
+        transfer_sizes=column(_TRANSFER_SIZES))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(extreme_queries())
+def test_extreme_clients_get_a_finite_makespan_or_fail_typed(query):
+    makespans = {}
+    for solver in (testing.greedy_cover, testing.exact_milp):
+        try:
+            with deadline(10):
+                got = solver(query)
+        except FedselError as exc:
+            event(f"{solver.__name__}: {type(exc).__name__}")
+            continue
+        testing.validate_assignment(query, got)
+        assert math.isfinite(got.objective_seconds)
+        makespans[solver] = got.objective_seconds
+    if len(makespans) == 2:
+        event("both solved")
+        assert makespans[testing.exact_milp] \
+            <= makespans[testing.greedy_cover] * (1 + 1e-9)

@@ -25,6 +25,9 @@ from fedsel.testing import (Assignment, DeviationQuery, DistributionQuery,
                             validate_assignment, verify_bound_montecarlo,
                             write_assignment_file)
 
+# A float overflow or an invalid operation inside a solver is a fault here.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 REL = 1e-4
 
 
@@ -359,7 +362,6 @@ def test_band_settlement_agrees_with_sample_mean(data):
         assert deviation < tolerance
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("case", ["n_one", "n_all_but_one", "one_value",
                                   "tiny_tolerance", "tolerance_over_range"])
 def test_montecarlo_edge_cases_run_clean(monkeypatch, case):
