@@ -7,7 +7,7 @@ minibatch gradient descent, aggregates those K models into the global model,
 and feeds utility/duration feedback back to the metadata store. The
 simulated clock advances by the K-th completion time.
 
-Every random draw derives from (seed, round, purpose[, client]), so runs are
+Every random stream derives from (seed, round, purpose), so runs are
 reproducible across processes and thread counts, and a run resumed from a
 checkpoint replays identically.
 """
@@ -23,7 +23,7 @@ from typing import TextIO
 
 import numpy as np
 
-from . import model, seeding
+from . import model
 from .errors import CheckpointError, EmptySelectionError, FedselError
 from .metastore import Checkpoint, MetaStore, RoundFeedback
 from .training import (SelectorConfig, TrainingSelector,
@@ -242,10 +242,10 @@ class TrainingSession:
         wall = 0.0
         utilities: list[float] = []
         if completers:
-            # Row r's batch order is default_rng([seed, round, 5, r])'s
-            # permutation, made for all K rows at once.
-            orders = seeding.permutations(
-                [self.seed, round_index, _STREAM_LOCAL], rows, sizes)
+            # One stream per round gives the batch orders, in completion
+            # order, which the trace alone fixes.
+            rng = np.random.default_rng([self.seed, round_index, _STREAM_LOCAL])
+            orders = [rng.permutation(n) for n in sizes]
             lr = self.learning_rate / (1.0 + round_index / self.lr_decay_rounds)
             by_norms = self.config.utility_mode == "gradient_norm_batches"
             models, losses, batch_norms = model.local_epoch(

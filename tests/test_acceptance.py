@@ -3,7 +3,7 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one line per
 criterion. The canonical-workload experiments (1000 clients, 10 classes,
 heavy skew, K=50, 5 seeds) are shared across criteria through session-scoped
-fixtures; expect several minutes of wall time.
+fixtures; the suite takes under a minute of wall time.
 """
 
 from __future__ import annotations

