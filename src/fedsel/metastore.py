@@ -1,6 +1,8 @@
 """Per-client metadata registry.
 
-A single-writer store of per-client aggregates fed by round feedback. The
+A single-writer store of per-client aggregates fed by round feedback: the
+round engine hands :meth:`MetaStore.apply_feedback` its completers' rows, and
+:meth:`MetaStore.update_with_feedback` maps id-named reports onto it. The
 store keeps one numpy column per field, rows in client-id order, so a client
 costs a constant handful of values no matter how many rounds it has
 participated in. Selectors read immutable snapshot views made of read-only
@@ -333,7 +335,7 @@ class MetaStore:
             raise ValueError("blacklist_threshold must be >= 1")
         if checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1")
-        self._lock = threading.Lock()
+        self._lock = threading.RLock()
         self._ids: list[str] = []
         self._slots: dict[str, int] = {}
         # Rows past len(self._ids) stay zero until a client registers there.
@@ -379,12 +381,8 @@ class MetaStore:
             self._frozen = None
 
     def _grow(self, capacity: int) -> None:
-        def grown(col: np.ndarray) -> np.ndarray:
-            bigger = np.zeros(capacity, col.dtype)
-            bigger[:len(col)] = col
-            return bigger
-
-        self._cols = {name: grown(col) for name, col in self._cols.items()}
+        self._cols = {name: np.pad(col, (0, capacity - len(col)))
+                      for name, col in self._cols.items()}
 
     def advance_round(self) -> int:
         """Open the next round; returns its index (1-based)."""
@@ -425,40 +423,57 @@ class MetaStore:
     # -- feedback ingestion -------------------------------------------------
 
     def update_with_feedback(self, batch: Iterable[RoundFeedback]) -> int:
-        """Fold a round's feedback into the columns; returns clients updated.
-
-        The whole batch is validated first and applied atomically: one bad
-        item rejects the batch and leaves the store untouched.
-        """
+        """The id form of :meth:`apply_feedback`; each report names the open round."""
         items = list(batch)
-        if not items:
+        with self._lock:  # held on into apply_feedback, so no row moves
+            slots = self._index()[1]
+            for fb in items:
+                if fb.client_id not in slots:
+                    raise UnknownClientError(fb.client_id)
+                if fb.round_index != self._round:
+                    raise StaleFeedbackError(fb.client_id, fb.round_index, self._round)
+            return self.apply_feedback(
+                np.array([slots[fb.client_id] for fb in items], np.intp),
+                [fb.agg_stat_value for fb in items],
+                [fb.wall_duration for fb in items])
+
+    def apply_feedback(self, rows: np.ndarray, utilities, durations) -> int:
+        """Fold the open round's reports into the columns; returns how many.
+
+        ``rows`` is a 1-d integer array of rows in client-id order (a view's
+        table order), with one utility and one duration per row. One bad
+        report rejects the whole batch and leaves the store untouched.
+        """
+        values = np.asarray(utilities, dtype=np.float64)
+        seconds = np.asarray(durations, dtype=np.float64)
+        if not (isinstance(rows, np.ndarray) and rows.dtype.kind in "iu"
+                and rows.ndim == 1 and values.shape == seconds.shape == rows.shape):
+            raise ValueError("rows must be a 1-d integer array, with one "
+                             "utility and one duration per row")
+        if not rows.size:
             return 0
         with self._lock:
-            cols = self._cols
+            ids = self._index()[0]
+            n, r, cols = len(ids), self._round, self._cols
             explored, last_round = cols["explored"], cols["last_round"]
-            rows = []
-            seen: set[str] = set()
-            for fb in items:
-                row = self._slots.get(fb.client_id)
-                if row is None:
-                    raise UnknownClientError(fb.client_id)
-                if (fb.round_index != self._round or self._round == 0
-                        or fb.client_id in seen):
-                    raise StaleFeedbackError(fb.client_id, fb.round_index, self._round)
-                if explored[row] and last_round[row] >= fb.round_index:
-                    raise StaleFeedbackError(fb.client_id, fb.round_index, self._round)
-                if not math.isfinite(fb.agg_stat_value) or fb.agg_stat_value < 0:
-                    raise ValueError("agg_stat_value must be finite and nonnegative")
-                if not (math.isfinite(fb.wall_duration) and fb.wall_duration > 0):
-                    raise ValueError("wall_duration must be finite and > 0")
-                seen.add(fb.client_id)
-                rows.append(row)
-            rows = np.array(rows, dtype=np.intp)
-            values = np.array([fb.agg_stat_value for fb in items], dtype=np.float64)
+            outside = rows[(rows < 0) | (rows >= n)]
+            if outside.size:
+                raise UnknownClientError(f"row {outside[0]}")
+            # Nothing before the first round, no row twice in the batch, and
+            # no row reported this round (last_round never passes it).
+            ordered = np.sort(rows)
+            stale = rows if r == 0 else np.concatenate([
+                ordered[1:][ordered[1:] == ordered[:-1]],
+                rows[explored[rows] & (last_round[rows] == r)]])
+            if stale.size:
+                raise StaleFeedbackError(ids[stale[0]], r, r)
+            if not np.all(np.isfinite(values) & (values >= 0)):
+                raise ValueError("agg_stat_value must be finite and nonnegative")
+            if not np.all(np.isfinite(seconds) & (seconds > 0)):
+                raise ValueError("wall_duration must be finite and > 0")
 
             # Cap comes from the explored-utility distribution with the
             # incoming values substituted in for their reporters.
-            n = len(self._ids)
             others = explored[:n].copy()
             others[rows] = False
             cap = clip_cap(np.concatenate([cols["stat_utility"][:n][others], values]),
@@ -466,18 +481,16 @@ class MetaStore:
             kept = np.where(cap < values, cap, values)  # min(value, cap)
 
             cols["stat_utility"][rows] = kept
-            last_round[rows] = self._round
-            cols["duration"][rows] = [fb.wall_duration for fb in items]
+            last_round[rows] = r
+            cols["duration"][rows] = seconds
             times = cols["times_selected"]
             times[rows] += 1
             explored[rows] = True
             cols["blacklisted"][rows] |= times[rows] >= self.blacklist_threshold
-            # Summed in feedback order, so the history is bit-reproducible.
-            achieved = 0.0
-            for v in kept.tolist():
-                achieved += v
-            self._utility_history[self._round - 1] += achieved
-            return len(items)
+            # Summed from 0.0 in report order, so the history is bit-reproducible
+            # (``+ 0.0`` is that start: it turns an all -0.0 sum into 0.0).
+            self._utility_history[r - 1] += float(np.cumsum(kept)[-1]) + 0.0
+            return len(rows)
 
     # -- snapshots -----------------------------------------------------------
 
@@ -533,10 +546,8 @@ class MetaStore:
             raise CheckpointError("restore needs a Checkpoint")
         table = checkpoint.table
         n = len(table)
-        cols = {}
-        for name, dtype in _COLUMNS:
-            cols[name] = np.zeros(max(n, _MIN_CAPACITY), dtype)
-            cols[name][:n] = getattr(table, name)
+        cols = {name: np.pad(getattr(table, name), (0, max(n, _MIN_CAPACITY) - n))
+                for name, _ in _COLUMNS}
         with self._lock:
             self._ids = list(table.ids)
             self._slots = {cid: i for i, cid in enumerate(table.ids)}

@@ -4,8 +4,8 @@ Each round invites ceil(1.3*K) clients under a selection policy (one row of
 ``POLICY_TABLE``), ranks them by completion time, trains the first K to
 complete with one batched call that runs each client's local epoch of
 minibatch gradient descent, aggregates those K models into the global model,
-and feeds utility/duration feedback back to the metadata store. The
-simulated clock advances by the K-th completion time.
+and hands the completers' rows, utilities and durations to the metadata
+store. The simulated clock advances by the K-th completion time.
 
 Every random stream derives from (seed, round, purpose), so runs are
 reproducible across processes and thread counts, and a run resumed from a
@@ -25,7 +25,7 @@ import numpy as np
 
 from . import model
 from .errors import CheckpointError, EmptySelectionError, FedselError
-from .metastore import Checkpoint, MetaStore, RoundFeedback
+from .metastore import Checkpoint, MetaStore
 from .training import (SelectorConfig, TrainingSelector,
                        aggregate_statistical_utility, gradient_norm_utility,
                        scheduled_pacer_tick)
@@ -115,7 +115,6 @@ class SessionCheckpoint:
     store: Checkpoint
     weights: np.ndarray
     wall_clock: float
-    selection_history: tuple[tuple[str, ...], ...]
 
 
 class TrainingSession:
@@ -161,7 +160,6 @@ class TrainingSession:
                                "\tsystem_factor\tfairness\tfinal\n")
         self.weights = model.init_weights(world.class_count, world.feature_dim)
         self.wall_clock = 0.0
-        self.selection_history: list[tuple[str, ...]] = []
         self._model_bytes = model.model_bytes(self.weights)
 
     # -- invitation ----------------------------------------------------------
@@ -259,12 +257,8 @@ class TrainingSession:
                                      np.full(len(models), 1.0 / len(models)),
                                      models)
             wall = kept[-1]
-            self.store.update_with_feedback(
-                RoundFeedback(client_id=cid, agg_stat_value=u,
-                              wall_duration=d, round_index=round_index)
-                for cid, u, d in zip(completers, utilities, kept))
+            self.store.apply_feedback(rows, utilities, kept)
         self.wall_clock += wall
-        self.selection_history.append(tuple(completers))
 
         acc = model.accuracy(self.weights, self.world.test_features,
                              self.world.test_labels)
@@ -311,15 +305,13 @@ class TrainingSession:
     def snapshot(self) -> SessionCheckpoint:
         return SessionCheckpoint(store=self.store.snapshot(),
                                  weights=self.weights.copy(),
-                                 wall_clock=self.wall_clock,
-                                 selection_history=tuple(self.selection_history))
+                                 wall_clock=self.wall_clock)
 
     def restore(self, checkpoint: SessionCheckpoint) -> None:
         self._check_rows(checkpoint.store.table.ids, CheckpointError)
         self.store.restore(checkpoint.store)
         self.weights = checkpoint.weights.copy()
         self.wall_clock = checkpoint.wall_clock
-        self.selection_history = list(checkpoint.selection_history)
 
     def _check_rows(self, store_ids: tuple[str, ...],
                     error: type[FedselError]) -> None:
@@ -327,11 +319,6 @@ class TrainingSession:
         holds exactly the world's clients in the world's rows."""
         if tuple(sorted(store_ids)) != tuple(self.world.ids.tolist()):
             raise error("the store's clients must be the world's, row for row")
-
-    @property
-    def blacklisted_ids(self) -> set[str]:
-        table = self.store.view().table
-        return {table.ids[row] for row in np.flatnonzero(table.blacklisted)}
 
 
 def _statistical_utilities(losses: np.ndarray, sizes: list[int]) -> list[float]:
@@ -390,15 +377,15 @@ def _flip_labels(rng: np.random.Generator, labels: np.ndarray,
     return (labels + offsets) % class_count
 
 
-def fairness_metrics(selection_history: list[tuple[str, ...]],
+def fairness_metrics(history: list[tuple[str, ...]],
                      client_ids: list[str],
                      blacklisted: set[str] | frozenset[str] = frozenset(),
                      ) -> float:
     """Population variance of participation counts over non-blacklisted clients."""
-    if not selection_history:
+    if not history:
         raise ValueError("need at least one completed round")
     counts = {cid: 0 for cid in client_ids}
-    for round_ids in selection_history:
+    for round_ids in history:
         for cid in round_ids:
             counts[cid] += 1
     kept = [n for cid, n in counts.items() if cid not in blacklisted]

@@ -479,9 +479,9 @@ def greedy_cover(query: DistributionQuery) -> Assignment:
     dropped). Phase 2 may leave a pick without samples, so the budget is
     checked against the clients its assignment uses, not the picks.
     """
-    caps = _effective_capacities(query)
+    caps, totals = _effective_capacities(query)
     _check_capacity(query, caps)
-    picked = _greedy_picks(caps, query.preference, query.client_ids)
+    picked = _greedy_picks(caps, totals, query.preference, query.client_ids)
     assignment = min_makespan_assignment(query, sorted(picked))
     if assignment.participant_count > query.budget:
         raise BudgetExceededError(required=assignment.participant_count,
@@ -503,11 +503,11 @@ def exact_milp(query: DistributionQuery) -> Assignment:
             f"instance {query.n_clients} clients x {query.n_categories} "
             f"categories exceeds the exact-solver guard "
             f"({_EXACT_MAX_CLIENTS} x {_EXACT_MAX_CATEGORIES})")
-    caps = _effective_capacities(query)
+    caps, row_caps = _effective_capacities(query)
     _check_capacity(query, caps)
     budget = min(query.budget, query.n_clients)
     row_sums, need = _cut_rows(caps, query.preference)
-    row_caps, speeds = caps.sum(axis=1), query.speeds
+    speeds = query.speeds
     transfers = _transfer_times(query, range(query.n_clients))
     chosen = _cover_within(row_caps, row_sums, need, budget)
     if chosen is None:
@@ -524,10 +524,11 @@ def exact_milp(query: DistributionQuery) -> Assignment:
 
 
 def _effective_capacities(query: DistributionQuery,
-                          subset: Sequence[int] | None = None) -> np.ndarray:
-    """What the solvers can draw on: the capacities of all clients, or of the
-    ``subset`` rows, with each cell clipped to its category's preference and
-    clients that cannot finish zeroed.
+                          subset: Sequence[int] | None = None,
+                          ) -> tuple[np.ndarray, np.ndarray]:
+    """What the solvers can draw on, and its row totals: the capacities of
+    all clients, or of the ``subset`` rows, with each cell clipped to its
+    category's preference and clients that cannot finish zeroed.
 
     No count above what its category asks for can be drawn on, so no cell
     or row total passes the preference total, which is below 2^31. Nor can
@@ -549,7 +550,8 @@ def _effective_capacities(query: DistributionQuery,
     stuck = (totals > 0) & ~np.isfinite(done)
     if stuck.any():
         caps = np.where(stuck[:, None], 0, caps)
-    return caps
+        totals[stuck] = 0
+    return caps, totals
 
 
 def _check_capacity(query: DistributionQuery, caps: np.ndarray) -> None:
@@ -560,13 +562,13 @@ def _check_capacity(query: DistributionQuery, caps: np.ndarray) -> None:
         raise InfeasibleQueryError(short)
 
 
-def _greedy_picks(caps: np.ndarray, preference: np.ndarray,
-                  client_ids: Sequence[str]) -> list[int]:
+def _greedy_picks(caps: np.ndarray, totals: np.ndarray,
+                  preference: np.ndarray, client_ids: Sequence[str]) -> list[int]:
     """Greedy cover rows in pick order: each pick has the largest
     contribution ``sum_i min(caps[n, i], remaining[i])``, ties to the first
     client id. ``caps`` are at most ``preference`` (as
-    :func:`_effective_capacities` gives them), so a first contribution is a
-    row total.
+    :func:`_effective_capacities` gives them, with their row ``totals``), so
+    a first contribution is a row total.
 
     A contribution can only fall as categories fill. It has not fallen yet
     while each category's remaining demand is at least the largest cell in
@@ -579,9 +581,8 @@ def _greedy_picks(caps: np.ndarray, preference: np.ndarray,
                      dtype=np.int64)
     rank = np.empty(size, dtype=np.int64)
     rank[order] = np.arange(size)
-    contrib = caps.sum(axis=1)
-    live = np.flatnonzero(contrib > 0)
-    keys = np.sort(rank[live] - contrib[live] * size)
+    live = np.flatnonzero(totals > 0)
+    keys = np.sort(rank[live] - totals[live] * size)
     ahead = order[keys % size]
     head, taken = _bulk_head(caps, preference, ahead,
                              preference - caps.max(axis=0, initial=0))
@@ -802,10 +803,9 @@ def min_makespan_assignment(query: DistributionQuery,
     the floor with a flow feasibility check at every probe, from the flow at
     row totals.
     """
-    caps_sub = _effective_capacities(query, subset)
+    caps_sub, row_caps = _effective_capacities(query, subset)
     preference = query.preference
     speeds, transfers = query.speeds[subset], _transfer_times(query, subset)
-    row_caps = caps_sub.sum(axis=1)
     # With every client sending up to its row total, the flow is infeasible
     # exactly when some category's column total is short.
     _check_capacity(query, caps_sub)

@@ -266,8 +266,8 @@ def test_exact_is_valid_and_never_worse_than_greedy(query):
 def test_greedy_budget_counts_assigned_clients_not_idle_picks():
     # Phase 1 picks four clients here, and phase 2 leaves one of them idle.
     query = _random_query(8, 3, 2126329534)
-    caps = testing._effective_capacities(query)
-    assert len(testing._greedy_picks(caps, query.preference,
+    caps, totals = testing._effective_capacities(query)
+    assert len(testing._greedy_picks(caps, totals, query.preference,
                                      query.client_ids)) == 4
     free = testing.greedy_cover(query)
     assert free.participant_count == 3
@@ -400,10 +400,12 @@ def assert_picks_match(references, caps, preference, ids) -> None:
             want = reference(caps, preference, ids)
         except InfeasibleQueryError as exc:
             with pytest.raises(InfeasibleQueryError) as got:
-                testing._greedy_picks(clipped, preference, ids)
+                testing._greedy_picks(clipped, clipped.sum(axis=1),
+                                      preference, ids)
             assert got.value.shortfalls == exc.shortfalls
         else:
-            assert testing._greedy_picks(clipped, preference, ids) == want
+            assert testing._greedy_picks(clipped, clipped.sum(axis=1),
+                                         preference, ids) == want
 
 
 @st.composite
@@ -430,7 +432,7 @@ def test_lazy_greedy_picks_match_full_rescan(inputs):
 @pytest.mark.parametrize("shape, seed", [((1000, 30), 1), ((200, 10), 3)])
 def test_lazy_greedy_picks_match_full_rescan_on_random_queries(shape, seed):
     query = _random_query(*shape, seed)
-    caps = testing._effective_capacities(query)
+    caps = testing._effective_capacities(query)[0]
     assert_picks_match(BOTH_REFERENCES, caps, query.preference,
                        query.client_ids)
 
@@ -486,8 +488,9 @@ def test_bulk_head_spans_blocks_and_takes_most_picks(monkeypatch):
 
     monkeypatch.setattr(testing, "_tail_picks", recording)
     query = _random_query(10_000, 30, 4)
-    caps = testing._effective_capacities(query)
-    picks = testing._greedy_picks(caps, query.preference, query.client_ids)
+    caps, totals = testing._effective_capacities(query)
+    picks = testing._greedy_picks(caps, totals, query.preference,
+                                  query.client_ids)
     assert heads[0] >= 0.9 * len(picks)
     assert heads[0] > testing._BLOCK_CELLS // 30  # fills carried across blocks
     assert picks == lazy_greedy_picks(caps, query.preference, query.client_ids)
@@ -501,22 +504,24 @@ def test_effective_capacities_of_a_subset_are_those_rows():
         budget=n, speeds=[1.0, 0.0, 1.0, 1.0, 1.0, 1.0],
         bandwidths=[1e6, 1e6, 0.0, 0.0, 1e6, 1e6],
         transfer_sizes=[1e6, 1e6, 1e6, 0.0, 1e6, 1e6])
-    caps = testing._effective_capacities(query)
+    caps, totals = testing._effective_capacities(query)
     assert caps[:, 0].tolist() == [0, 0, 0, 6, 8, 10]
+    assert totals.tolist() == caps.sum(axis=1).tolist()
     for subset in ([], [4], [5, 1, 2], [3, 0]):
-        got = testing._effective_capacities(query, subset)
+        got, got_totals = testing._effective_capacities(query, subset)
         assert got.shape == (len(subset), 2)
         assert got.tolist() == caps[subset].tolist()
+        assert got_totals.tolist() == totals[subset].tolist()
     usable = dataclasses.replace(query, speeds=np.ones(n),
                                  bandwidths=np.full(n, 1e6))
-    assert np.shares_memory(testing._effective_capacities(usable),
+    assert np.shares_memory(testing._effective_capacities(usable)[0],
                             usable.capacities)
     # Cells above their category's preference are clipped to it; the query
     # keeps its own counts.
     clipped = dataclasses.replace(query, preference=[4, 5])
-    assert testing._effective_capacities(clipped).tolist() == [
+    assert testing._effective_capacities(clipped)[0].tolist() == [
         [0, 1], [0, 0], [0, 0], [4, 5], [4, 5], [4, 5]]
-    assert testing._effective_capacities(clipped, [5, 0, 1]).tolist() == [
+    assert testing._effective_capacities(clipped, [5, 0, 1])[0].tolist() == [
         [4, 5], [0, 1], [0, 0]]
     assert clipped.capacities.max() == 11
 
@@ -583,7 +588,7 @@ def search_cases(draw):
                                  min_size=n, max_size=n)),
         transfer_sizes=draw(st.lists(st.sampled_from([0.0, 1.0, 3.0]),
                                      min_size=n, max_size=n)))
-    totals = testing._effective_capacities(query).sum(axis=0)
+    totals = testing._effective_capacities(query)[0].sum(axis=0)
     assume(totals.sum() > 0)
     query.preference = np.array([draw(st.integers(0, int(t))) for t in totals],
                                 dtype=np.int64)
@@ -597,7 +602,7 @@ def search_inputs(query, solver):
     Built as ``min_makespan_assignment`` (over all clients) or ``exact_milp``
     build them.
     """
-    caps = testing._effective_capacities(query)
+    caps = testing._effective_capacities(query)[0]
     preference = query.preference
     speeds = query.speeds
     transfers = testing._transfer_times(query, range(query.n_clients))
@@ -783,7 +788,7 @@ def test_a_client_that_cannot_finish_is_not_drawn_on(case):
     query = testing.DistributionQuery(
         client_ids=("a", "b"), capacities=[[2], [1]], preference=[3],
         budget=2, bandwidths=[0.5, 1.0], **CANNOT_FINISH[case])
-    assert testing._effective_capacities(query).tolist() == [[0], [1]]
+    assert testing._effective_capacities(query)[0].tolist() == [[0], [1]]
     for solver in (testing.greedy_cover, testing.exact_milp):
         with pytest.raises(InfeasibleQueryError) as info:
             solver(query)
@@ -802,7 +807,7 @@ def test_a_client_that_cannot_finish_is_not_drawn_on(case):
 def reference_min_makespan(query, subset) -> testing.Assignment:
     """The makespan search this module used to ship: a flow probe at every
     step, from the first completion time up."""
-    caps_sub = testing._effective_capacities(query)[subset]
+    caps_sub = testing._effective_capacities(query)[0][subset]
     preference = query.preference
     speeds = query.speeds[subset]
     transfers = testing._transfer_times(query, subset)
@@ -848,7 +853,7 @@ def floor_cases(draw):
         transfer_sizes=draw(st.lists(st.sampled_from([0.0, 1.0, 3.0]),
                                      min_size=n, max_size=n)))
     subset = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1)))
-    totals = testing._effective_capacities(query)[subset].sum(axis=0)
+    totals = testing._effective_capacities(query)[0][subset].sum(axis=0)
     assume(totals.sum() > 0)
     query.preference = np.array([draw(st.integers(0, int(t))) for t in totals],
                                 dtype=np.int64)
@@ -939,7 +944,7 @@ def reference_branch_and_bound(query: testing.DistributionQuery
     node is solved outright. Greedy's cover, when within the budget, seeds
     the incumbent. Exhaustion certifies optimality.
     """
-    caps = testing._effective_capacities(query)
+    caps = testing._effective_capacities(query)[0]
     testing._check_capacity(query, caps)
     budget = min(query.budget, query.n_clients)
     order = sorted(range(query.n_clients),
@@ -1004,7 +1009,7 @@ def cut_row_cases(draw):
     query = draw(small_queries())
     subset = sorted(draw(st.sets(st.integers(0, query.n_clients - 1),
                                  min_size=1)))
-    caps_sub = testing._effective_capacities(query)[subset]
+    caps_sub = testing._effective_capacities(query)[0][subset]
     speeds = query.speeds[subset]
     transfers = testing._transfer_times(query, subset)
     j = draw(st.integers(0, len(subset) - 1))

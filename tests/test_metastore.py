@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from fedsel import metastore
 from fedsel.errors import CheckpointError, StaleFeedbackError, UnknownClientError
 from fedsel.metastore import Checkpoint, MetaStore, RoundFeedback, StoreView
-from fedsel.training import SelectorConfig, TrainingSelector
+from fedsel.training import SelectorConfig, TrainingSelector, clip_cap
 from checkpoint_oracle import render_v1
 
 
@@ -179,6 +179,232 @@ def test_feedback_before_the_first_round_rejected_and_store_untouched():
     with pytest.raises(StaleFeedbackError):
         s.update_with_feedback([RoundFeedback("a", 1.0, 1.0, 0)])
     assert s.snapshot() == before
+
+
+# -- the feedback fold against the per-report loop -----------------------------
+
+
+def reference_update(s: MetaStore, batch) -> int:
+    """Every check and write of the feedback fold as a loop over the reports,
+    on the store's own columns: the fold's oracle. The first bad report
+    names the error."""
+    items = list(batch)
+    if not items:
+        return 0
+    with s._lock:
+        cols = s._cols
+        explored, last_round = cols["explored"], cols["last_round"]
+        rows = []
+        seen: set[str] = set()
+        for fb in items:
+            row = s._slots.get(fb.client_id)
+            if row is None:
+                raise UnknownClientError(fb.client_id)
+            if (fb.round_index != s._round or s._round == 0
+                    or fb.client_id in seen):
+                raise StaleFeedbackError(fb.client_id, fb.round_index, s._round)
+            if explored[row] and last_round[row] >= fb.round_index:
+                raise StaleFeedbackError(fb.client_id, fb.round_index, s._round)
+            if not math.isfinite(fb.agg_stat_value) or fb.agg_stat_value < 0:
+                raise ValueError("agg_stat_value must be finite and nonnegative")
+            if not (math.isfinite(fb.wall_duration) and fb.wall_duration > 0):
+                raise ValueError("wall_duration must be finite and > 0")
+            seen.add(fb.client_id)
+            rows.append(row)
+        rows = np.array(rows, dtype=np.intp)
+        values = np.array([fb.agg_stat_value for fb in items], dtype=np.float64)
+        n = len(s._ids)
+        others = explored[:n].copy()
+        others[rows] = False
+        cap = clip_cap(np.concatenate([cols["stat_utility"][:n][others], values]),
+                       s.clip_percentile)
+        kept = np.where(cap < values, cap, values)
+        cols["stat_utility"][rows] = kept
+        last_round[rows] = s._round
+        cols["duration"][rows] = [fb.wall_duration for fb in items]
+        times = cols["times_selected"]
+        times[rows] += 1
+        explored[rows] = True
+        cols["blacklisted"][rows] |= times[rows] >= s.blacklist_threshold
+        achieved = 0.0
+        for v in kept.tolist():
+            achieved += v
+        s._utility_history[s._round - 1] += achieved
+        return len(items)
+
+
+def store_bits(s: MetaStore) -> tuple:
+    """Every bit of the store's state: the snapshot's ids, column bytes,
+    round, preferred duration and history."""
+    cp = s.snapshot()
+    return (cp.table.ids, cp.round_index, cp.preferred_duration.hex(),
+            tuple(map(float.hex, cp.utility_history)),
+            *(getattr(cp.table, name).tobytes() for name, _ in metastore._COLUMNS))
+
+
+def outcome(fold) -> tuple:
+    """``fold()``'s return value, or the type of the error it raised."""
+    try:
+        return fold(), None
+    except (UnknownClientError, StaleFeedbackError, ValueError) as exc:
+        return None, type(exc)
+
+
+# Each makes one report's values bad.
+_VALUE_FAULTS = {"nan_utility": (math.nan, 1.0), "inf_utility": (math.inf, 1.0),
+                 "negative_utility": (-1e-300, 1.0), "zero_duration": (1.0, 0.0),
+                 "negative_duration": (1.0, -2.0), "inf_duration": (1.0, math.inf)}
+_FAULT_KINDS = ["unknown", "wrong_round", "repeat", "again", *sorted(_VALUE_FAULTS)]
+_UTILITIES = st.sampled_from([0.0, -0.0]) | st.floats(0.0, 1e6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(1, 12),
+       percentile=st.sampled_from([50.0, 90.0, 100.0]),
+       threshold=st.integers(1, 3))
+def test_feedback_fold_matches_the_per_report_loop(data, n, percentile,
+                                                   threshold):
+    ids = [f"c{i:02d}" for i in data.draw(st.permutations(range(n)))]
+
+    def fresh() -> MetaStore:
+        s = store(clip_percentile=percentile, blacklist_threshold=threshold)
+        for cid in ids:  # out of id order, so the fold sorts the rows first
+            s.register_client(cid)
+        return s
+
+    oracle, by_ids, by_rows = fresh(), fresh(), fresh()
+    reported: set[str] = set()  # this round's accepted reporters
+    for _ in range(data.draw(st.integers(1, 10))):
+        if data.draw(st.booleans()):
+            for s in (oracle, by_ids, by_rows):
+                s.advance_round()
+            reported = set()
+        r = oracle.round_index
+        open_ids = data.draw(st.permutations(sorted(set(ids) - reported)))
+        batch = [RoundFeedback(cid, data.draw(_UTILITIES),
+                               data.draw(st.floats(1e-3, 1e4)), r)
+                 for cid in open_ids[:data.draw(st.integers(0, len(open_ids)))]]
+        faults = 0
+        for kind in [data.draw(st.sampled_from(_FAULT_KINDS))
+                     for _ in range(data.draw(st.integers(0, 2)))]:
+            if kind in _VALUE_FAULTS and batch:
+                at = data.draw(st.integers(0, len(batch) - 1))
+                u, d = _VALUE_FAULTS[kind]
+                batch[at] = dataclasses.replace(batch[at], agg_stat_value=u,
+                                                wall_duration=d)
+                faults += 1
+                continue
+            if kind == "unknown":
+                fb = RoundFeedback("ghost", 1.0, 1.0, r)
+            elif kind == "wrong_round":
+                fb = RoundFeedback(data.draw(st.sampled_from(ids)), 1.0, 1.0,
+                                   r + data.draw(st.sampled_from([-1, 1, 7])))
+            elif kind == "repeat" and batch:
+                fb = dataclasses.replace(data.draw(st.sampled_from(batch)),
+                                         agg_stat_value=2.0)
+            elif kind == "again" and reported:
+                fb = RoundFeedback(data.draw(st.sampled_from(sorted(reported))),
+                                   1.0, 1.0, r)
+            else:
+                continue
+            batch.insert(data.draw(st.integers(0, len(batch))), fb)
+            faults += 1
+        if r == 0:  # no report is accepted before the first round
+            faults = len(batch)
+
+        want, want_error = outcome(lambda: reference_update(oracle, batch))
+        got, got_error = outcome(lambda: by_ids.update_with_feedback(batch))
+        # The same reports by row, where each names a client and the round.
+        slots = by_rows.view().slots
+        known = all(fb.client_id in slots and fb.round_index == r for fb in batch)
+        if known:
+            rows = np.array([slots[fb.client_id] for fb in batch], np.intp)
+            by_row, by_row_error = outcome(lambda: by_rows.apply_feedback(
+                rows, [fb.agg_stat_value for fb in batch],
+                [fb.wall_duration for fb in batch]))
+        if want_error is None:
+            assert faults == 0
+            assert (got, got_error) == (want, None)
+            assert (by_row, by_row_error) == (want, None)
+            reported.update(fb.client_id for fb in batch)
+        else:
+            # The fold checks fault kinds, not reports, in turn, so only a
+            # batch with one bad report must raise the oracle's error.
+            assert faults > 0 and got_error is not None
+            if faults == 1:
+                assert got_error is want_error
+            if known:
+                assert by_row_error is not None
+                if faults == 1:
+                    assert by_row_error is want_error
+        assert store_bits(by_ids) == store_bits(oracle) == store_bits(by_rows)
+
+
+def test_feedback_fold_sums_the_history_in_report_order():
+    # A running sum drops every 1.0 against 1e16; a pairwise sum keeps some.
+    values = [1e16] + [1.0] * 11
+    ids = [f"c{i:02d}" for i in range(12)]
+    folds = []
+    for fold in (reference_update, MetaStore.update_with_feedback):
+        s = store(clip_percentile=100.0)
+        for cid in ids:
+            s.register_client(cid)
+        s.advance_round()
+        fold(s, [RoundFeedback(cid, v, 1.0, 1) for cid, v in zip(ids, values)])
+        folds.append(store_bits(s))
+    assert folds[0] == folds[1]
+    assert float.fromhex(folds[1][3][0]) != np.sum(values)
+
+
+def test_apply_feedback_takes_rows_in_client_id_order():
+    s = store()
+    for cid in "cab":  # registered out of id order, and no view taken since
+        s.register_client(cid)
+    s.advance_round()
+    assert s.apply_feedback(np.array([0, 2]), [1.0, 2.0], [3.0, 4.0]) == 2
+    table = s.view().table
+    assert table.ids == ("a", "b", "c")
+    assert table.stat_utility.tolist() == [1.0, 0.0, 2.0]
+    assert table.duration.tolist() == [3.0, 0.0, 4.0]
+
+
+@pytest.mark.parametrize("rows", [[1000], [1023], [3, 1000], [-1], [2 ** 63 - 1]],
+                         ids=["first_padding_row", "last_padding_row",
+                              "with_a_valid_row", "negative", "huge"])
+def test_apply_feedback_refuses_rows_past_the_clients(rows):
+    # 1000 clients fill 1024 rows of column capacity; the 24 padding rows
+    # belong to no client.
+    s = store()
+    for i in range(1000):
+        s.register_client(f"c{i:04d}")
+    s.advance_round()
+    assert len(s._cols["explored"]) == 1024
+    before = store_bits(s)
+    with pytest.raises(UnknownClientError):
+        s.apply_feedback(np.array(rows), [1.0] * len(rows), [1.0] * len(rows))
+    assert store_bits(s) == before
+    assert not any(col[1000:].any() for col in s._cols.values())
+
+
+@pytest.mark.parametrize("rows, utilities, durations", [
+    (np.array([True, False]), [1.0, 1.0], [1.0, 1.0]),
+    (np.array([0.0, 1.0]), [1.0, 1.0], [1.0, 1.0]),
+    (np.array([[0, 1]]), [[1.0, 1.0]], [[1.0, 1.0]]),
+    ([0, 1], [1.0, 1.0], [1.0, 1.0]),
+    (np.array([0, 1]), [1.0], [1.0, 1.0]),
+    (np.array([0, 1]), [1.0, 1.0], [1.0, 1.0, 1.0]),
+    (np.array([0]), 1.0, 1.0),
+], ids=["bool_mask", "float_rows", "rows_2d", "list", "utilities_short",
+        "durations_long", "scalar_values"])
+def test_apply_feedback_rejects_mistyped_input(rows, utilities, durations):
+    s = store()
+    for cid in "abc":
+        s.register_client(cid)
+    s.advance_round()
+    before = store_bits(s)
+    with pytest.raises(ValueError):
+        s.apply_feedback(rows, utilities, durations)
+    assert store_bits(s) == before
 
 
 # -- checkpointing ---------------------------------------------------------------
